@@ -105,11 +105,19 @@ class Factorization:
         return 0
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin to the 13 prime bases up to 41.
+
+    Exact for n < psi_13 = 3317044064679887385961981, about 3.317e24: no
+    composite below it is a strong pseudoprime to all of these bases
+    (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -117,7 +125,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -233,15 +241,16 @@ def integer_nth_root(x: int, k: int) -> int:
         raise ValueError("requires x >= 0 and k >= 1")
     if k == 1 or x < 2:
         return x
-    try:
-        r = int(round(x ** (1.0 / k)))
-    except OverflowError:
-        r = 1 << (x.bit_length() // k + 1)
-    while r > 0 and r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    if k == 2:
+        return math.isqrt(x)
+    # Integer Newton iteration from 2^ceil(bits/k), which is above the root;
+    # the iterates decrease strictly until they reach the floor of the root.
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def squarefree_kernel(x: int) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 from .arith import prime_array, prime_divisors
 from .obstruction import enumerate_Pg, in_Pg
 from .orders import equation_order_index
-from .purefield import pure_poly
+from .purefield import _criterion_holds, pure_poly
 
 __all__ = [
     "AlphaDensityReport",
@@ -131,22 +131,18 @@ def _squarefree_mask(x_max: int) -> np.ndarray:
     return mask
 
 
-def _criterion_tables(n: int) -> list[tuple[int, np.ndarray]]:
-    """Per prime p | n, the residues r mod p^2 with v_p(r^p - r) = 1."""
-    tables = []
-    for p in prime_divisors(n):
-        p2 = p * p
-        ok = np.array([(pow(r, p, p2) - r) % p2 != 0 for r in range(p2)], dtype=bool)
-        tables.append((p2, ok))
-    return tables
-
-
 def _criterion_masks(n: int, x_max: int, sf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks over |m| for the power-order criterion, per sign."""
+    """Boolean masks over |m| for the power-order criterion, per sign.
+
+    The criterion at p | n depends on m mod p^2 only, so it is tabulated once
+    per residue and gathered over the range.
+    """
     ks = np.arange(x_max + 1)
     pos = sf.copy()
     neg = sf.copy()
-    for p2, ok in _criterion_tables(n):
+    for p in prime_divisors(n):
+        p2 = p * p
+        ok = np.array([_criterion_holds(r, p) for r in range(p2)], dtype=bool)
         pos &= ok[ks % p2]
         neg &= ok[(-ks) % p2]
     return pos, neg
@@ -319,7 +315,7 @@ def exceptional_scan(n: int, x_max: int, checkpoints, workers: int = 1) -> Excep
     rows = []
     members: list[tuple[int, int, bool]] = []
     for g in sorted(by_g):
-        ms = sorted(by_g[g], key=abs)
+        ms = sorted(by_g[g], key=lambda m: (abs(m), m))
         flags = [is_pg_free(m, g) for m in ms]
         members.extend((g, m, f) for m, f in zip(ms, flags))
         abs_ms = [abs(m) for m in ms]

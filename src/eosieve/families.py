@@ -180,6 +180,14 @@ def twist_poly(n: int, c: int, t: int) -> MonicPolynomial:
     return MonicPolynomial((c**n * t, c ** (n - 1) * t) + (0,) * (n - 2))
 
 
+def _scaled_generator_index(poly: MonicPolynomial, c: int) -> int:
+    """Index of Z[c theta] in the power order Z[theta]: the suborder spanned by c^i theta^i."""
+    n = poly.degree
+    rows = [[c**i if j == i else 0 for j in range(n)] for i in range(n)]
+    sub = EquationOrder.from_basis(poly, rows, 1)
+    return order_index(sub, EquationOrder.power_order(poly))
+
+
 def twist_index_check(n: int, c: int, t: int) -> int:
     """Index of Z[c alpha_t] in the maximal order Z[alpha_t]; equals c^(n(n-1)/2)."""
     if c < 2:
@@ -190,11 +198,13 @@ def twist_index_check(n: int, c: int, t: int) -> int:
         raise ConsistencyError(
             f"power order of x^{n} + {t}x + {t} is unexpectedly not maximal"
         )
-    poly = trinomial_poly(n, t)
-    maximal = EquationOrder.power_order(poly)
-    rows = [[c**i if j == i else 0 for j in range(n)] for i in range(n)]
-    sub = EquationOrder.from_basis(poly, rows, 1)
-    return order_index(sub, maximal)
+    return _scaled_generator_index(trinomial_poly(n, t), c)
+
+
+def _rho_closed_form(n: int, ell: int) -> int:
+    if n % ell == 0:
+        return ell
+    return 1 if (n - 1) % ell == 0 else 2
 
 
 def rho_ell2(n: int, ell: int) -> int:
@@ -214,12 +224,7 @@ def rho_ell2(n: int, ell: int) -> int:
     a = np.arange(ell2, dtype=np.int64)
     values = (a * ((c0 % ell2) + (c1 % ell2) * a)) % ell2
     brute = int(np.count_nonzero(values == 0))
-    if n % ell == 0:
-        closed = ell
-    elif (n - 1) % ell == 0:
-        closed = 1
-    else:
-        closed = 2
+    closed = _rho_closed_form(n, ell)
     if brute != closed:
         raise ConsistencyError(
             f"rho(ell^2) mismatch at n={n}, ell={ell}: brute {brute}, closed form {closed}"
@@ -239,14 +244,7 @@ def euler_product_S(n: int, cutoff: int, brute_verify_bound: int = 100) -> Euler
         raise ValueError("cutoff must be at least 10^3")
     log_value = 0.0
     for ell in prime_array(cutoff).tolist():
-        if ell <= brute_verify_bound:
-            rho = rho_ell2(n, ell)
-        elif n % ell == 0:
-            rho = ell
-        elif (n - 1) % ell == 0:
-            rho = 1
-        else:
-            rho = 2
+        rho = rho_ell2(n, ell) if ell <= brute_verify_bound else _rho_closed_form(n, ell)
         log_value += math.log1p(-rho / ell**2)
     value = math.exp(log_value)
     lower = value * math.exp(-2.1 / cutoff)
@@ -302,13 +300,10 @@ def thin_family_check(n: int, c: int, q: int) -> ThinFamilyReport:
     """
     if not thin_Pn_member(n, c, q):
         raise ValueError(f"q = {q} is not a member of the thin family (n={n}, c={c})")
-    am = alpha_monogenic(n, q)
-    poly = pure_poly(n, q)
-    maximal = EquationOrder.power_order(poly)
-    rows = [[c**i if j == i else 0 for j in range(n)] for i in range(n)]
-    sub = EquationOrder.from_basis(poly, rows, 1)
     return ThinFamilyReport(
-        q=q, alpha_monogenic_of_q=am, distinguished_index=order_index(sub, maximal)
+        q=q,
+        alpha_monogenic_of_q=alpha_monogenic(n, q),
+        distinguished_index=_scaled_generator_index(pure_poly(n, q), c),
     )
 
 

@@ -28,7 +28,8 @@ from .arith import (
     is_squarefree,
 )
 from .errors import AmbiguousSnapError, ConsistencyError
-from .purefield import binomial_irreducible, pure_index
+from .orders import _gf_echelon, _poly_mul, _reduce_mod_poly
+from .purefield import binomial_irreducible, pure_index, pure_poly
 
 __all__ = [
     "CosetCheckReport",
@@ -157,17 +158,23 @@ def in_Pg(q: int, g: int, N: int) -> bool:
     return not is_nth_power_residue(g, N, q)
 
 
+def _pg_candidates(g: int, N: int, limit: int) -> tuple[list[int], list[int]]:
+    """Candidate primes for P_g up to limit, and the members of P_g among them.
+
+    Candidates are the primes q = 1 mod 2N not dividing 2Ng; a candidate is
+    in P_g when g^((q-1)/N) != 1 mod q.  Both lists ascend.
+    """
+    primes = prime_array(limit)
+    excluded = 2 * N * g
+    candidates = [q for q in primes[primes % (2 * N) == 1].tolist() if excluded % q]
+    return candidates, [q for q in candidates if pow(g % q, (q - 1) // N, q) != 1]
+
+
 def enumerate_Pg(g: int, N: int, limit: int) -> list[int]:
     """All primes q <= limit with in_Pg(q, g, N), ascending."""
     if g < 2 or N < 2:
         raise ValueError("requires g >= 2 and N >= 2")
-    primes = prime_array(limit)
-    modulus = 2 * N
-    out = []
-    for q in primes[primes % modulus == 1].tolist():
-        if (2 * N * g) % q != 0 and pow(g % q, (q - 1) // N, q) != 1:
-            out.append(q)
-    return out
+    return _pg_candidates(g, N, limit)[1]
 
 
 def estimate_delta(g: int, N: int, prime_budget: int) -> KummerData:
@@ -184,16 +191,9 @@ def estimate_delta(g: int, N: int, prime_budget: int) -> KummerData:
     kd = kummer_data(g, N)
     if not kd.nontrivial:
         raise ValueError(f"Kummer class of g={g} at N={N} is trivial; delta is not defined")
-    primes = prime_array(prime_budget)
-    modulus = 2 * N
-    count = 0
-    hits = 0
-    for q in primes[primes % modulus == 1].tolist():
-        if (2 * N * g) % q == 0:
-            continue
-        count += 1
-        if pow(g % q, (q - 1) // N, q) == 1:
-            hits += 1
+    candidates, pg = _pg_candidates(g, N, prime_budget)
+    count = len(candidates)
+    hits = count - len(pg)
     if count == 0:
         raise ValueError("no usable primes under the budget")
     phi_hat = hits / count
@@ -232,44 +232,6 @@ def obstruction_certificate(n: int, m: int) -> ObstructionCertificate | None:
     return None
 
 
-def _det_mod_q(rows: list[list[int]], q: int) -> int:
-    n = len(rows)
-    a = [[x % q for x in r] for r in rows]
-    det = 1
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det % q
-        det = det * a[k][k] % q
-        inv = pow(a[k][k], q - 2, q)
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] * inv % q
-                a[i] = [(x - f * y) % q for x, y in zip(a[i], a[k])]
-    return det % q
-
-
-def _poly_mul_mod_q(u: list[int], v: list[int], n: int, m_mod: int, q: int) -> list[int]:
-    out = [0] * (2 * n - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                if vj:
-                    out[i + j] = (out[i + j] + ui * vj) % q
-    # x^n = m mod q (m_mod is 0 at Eisenstein primes, kept general for clarity)
-    for k in range(2 * n - 2, n - 1, -1):
-        if out[k]:
-            out[k - n] = (out[k - n] + out[k] * m_mod) % q
-    return out[:n]
-
-
 def local_coset_check(
     n: int,
     m: int,
@@ -301,7 +263,7 @@ def local_coset_check(
     if trials < 1:
         raise ValueError("trials must be positive")
     exponent = (q - 1) // math.gcd(N, q - 1)
-    m_mod = m % q
+    poly = pure_poly(n, m)
     # det of the power matrix of a itself is 1 (the rows are the power basis)
     base_class = pow(1, exponent, q)
     rng = random.Random(seed)
@@ -310,12 +272,13 @@ def local_coset_check(
         b = [rng.randrange(q) for _ in range(n)]
         if uniformizer_only:
             b[1] = rng.randrange(1, q)
-        rows = [[1] + [0] * (n - 1)]
-        cur = rows[0]
-        for _ in range(n - 1):
-            cur = _poly_mul_mod_q(cur, b, n, m_mod, q)
+        # rows 1, beta, ..., beta^(n-1); beta itself needs no reduction
+        rows = [[1] + [0] * (n - 1), b]
+        cur = b
+        for _ in range(n - 2):
+            cur = [x % q for x in _reduce_mod_poly(_poly_mul(cur, b), poly)]
             rows.append(cur)
-        r = _det_mod_q(rows, q)
+        r = _gf_echelon(rows, q)[2]
         if pow(r, exponent, q) != base_class:
             failures += 1
     return CosetCheckReport(

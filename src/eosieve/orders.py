@@ -5,6 +5,11 @@ rational vector space spanned by the power basis 1, θ, ..., θ^(n-1).  Bases
 are kept in a canonical lower-triangular Hermite form over a common
 denominator, so lattice equality is plain structural equality.
 
+Order coordinates come from integer back-substitution over the common
+denominator; a division that is not exact raises the caller's typed error.
+Fractions appear only at the API edge (`basis_element`, `coordinates`) and
+in the enumeration oracle.
+
 Saturation at a prime p enlarges an order by the elements of p-power
 denominator that are integral, iterating one enlargement round until stable.
 The default round computes the multiplier ring of the p-radical (linear
@@ -173,16 +178,16 @@ def poly_disc_resultant(poly: MonicPolynomial) -> int:
 
 
 def _reduce_mod_poly(coeffs: list, poly: MonicPolynomial) -> list:
-    """Reduce a coefficient list modulo the monic poly (works for int or Fraction)."""
+    """Reduce an integer coefficient list modulo the monic poly, skipping its zero terms."""
     n = poly.degree
-    c = list(coeffs) + [0] * max(0, n - len(coeffs))
-    f = poly.coeffs
+    terms = [(i - n, fi) for i, fi in enumerate(poly.coeffs) if fi]
+    c = list(coeffs)
+    c += [0] * (n - len(c))
     for k in range(len(c) - 1, n - 1, -1):
-        top = c[k]
+        top = c.pop()
         if top:
-            for i in range(n):
-                c[k - n + i] -= top * f[i]
-        c.pop()
+            for i, fi in terms:
+                c[k + i] -= top * fi
     return c
 
 
@@ -190,26 +195,17 @@ def _poly_mul(a: list, b: list) -> list:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
+            for k, bj in enumerate(b, i):
                 if bj:
-                    out[i + j] += ai * bj
+                    out[k] += ai * bj
     return out
 
 
-def _solve_lower_triangular(rows, rhs):
-    """Solve c . rows = rhs for a lower-triangular integer basis (Fraction result)."""
-    n = len(rows)
-    c = [Fraction(0)] * n
-    for j in range(n - 1, -1, -1):
-        s = Fraction(rhs[j])
-        for i in range(j + 1, n):
-            if rows[i][j]:
-                s -= c[i] * rows[i][j]
-        c[j] = s / rows[j][j]
-    return c
+def _solve_lower_triangular(rows, rhs, error: Exception) -> list[int]:
+    """Integer c with c . rows = rhs for a lower-triangular integer basis.
 
-
-def _solve_lower_triangular_int(rows, rhs) -> list[int]:
+    Raises `error` as soon as a pivot division is not exact.
+    """
     n = len(rows)
     c = [0] * n
     for j in range(n - 1, -1, -1):
@@ -219,7 +215,7 @@ def _solve_lower_triangular_int(rows, rhs) -> list[int]:
                 s -= c[i] * rows[i][j]
         q, r = divmod(s, rows[j][j])
         if r:
-            raise ConsistencyError("expected integral coordinates in ideal basis")
+            raise error
         c[j] = q
     return c
 
@@ -280,9 +276,20 @@ class EquationOrder:
         return tuple(Fraction(x, self.denominator) for x in self.basis_numerators[i])
 
     def coordinates(self, power_coords) -> tuple[Fraction, ...]:
-        """Coordinates in this basis of an element given in power-basis coordinates."""
+        """Coordinates in this basis of an element given in power-basis coordinates.
+
+        Scaling by the lcm of the denominators times the pivot product makes
+        the solution integral; it is divided back at the end.
+        """
         rhs = [Fraction(x) * self.denominator for x in power_coords]
-        return tuple(_solve_lower_triangular(self.basis_numerators, rhs))
+        pivots = math.prod(row[i] for i, row in enumerate(self.basis_numerators))
+        scale = math.lcm(*(x.denominator for x in rhs)) * pivots
+        coords = _solve_lower_triangular(
+            self.basis_numerators,
+            [x.numerator * (scale // x.denominator) for x in rhs],
+            ConsistencyError("scaled coordinates must be integral"),
+        )
+        return tuple(Fraction(c, scale) for c in coords)
 
 
 @dataclass(frozen=True)
@@ -316,12 +323,12 @@ def _multiplication_table_cached(order: EquationOrder):
     table = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            prod = _reduce_mod_poly(_poly_mul(list(rows[i]), list(rows[j])), poly)
-            rhs = [Fraction(x, den) for x in prod]
-            coords = _solve_lower_triangular(order.basis_numerators, rhs)
-            if any(c.denominator != 1 for c in coords):
+            prod = _reduce_mod_poly(_poly_mul(rows[i], rows[j]), poly)
+            if any(x % den for x in prod):
                 raise NotClosedError(i, j)
-            entry = tuple(int(c) for c in coords)
+            entry = tuple(
+                _solve_lower_triangular(rows, [x // den for x in prod], NotClosedError(i, j))
+            )
             table[i][j] = entry
             table[j][i] = entry
     return tuple(tuple(row) for row in table)
@@ -373,13 +380,14 @@ def order_index(sub: EquationOrder, sup: EquationOrder) -> int:
     """Lattice index [sup : sub] for sub contained in sup (same polynomial)."""
     if sub.poly != sup.poly:
         raise ValueError("orders must share the same polynomial")
+    error = ContainmentError("suborder is not contained in superorder")
     T = []
     for row in sub.basis_numerators:
-        rhs = [Fraction(x * sup.denominator, sub.denominator) for x in row]
-        coords = _solve_lower_triangular(sup.basis_numerators, rhs)
-        if any(c.denominator != 1 for c in coords):
-            raise ContainmentError("suborder is not contained in superorder")
-        T.append([int(c) for c in coords])
+        scaled = [x * sup.denominator for x in row]
+        if any(x % sub.denominator for x in scaled):
+            raise error
+        rhs = [x // sub.denominator for x in scaled]
+        T.append(_solve_lower_triangular(sup.basis_numerators, rhs, error))
     return abs(_bareiss_det(T))
 
 
@@ -395,41 +403,58 @@ def order_disc(order: EquationOrder) -> int:
     return _bareiss_det(gram)
 
 
-def _gf_nullspace(matrix: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {x : matrix . x = 0} over GF(p) (column-vector solutions)."""
+def _gf_echelon(matrix, p: int) -> tuple[list[list[int]], list[int], int]:
+    """Row echelon form over GF(p), eliminating below each pivot only.
+
+    Returns (rows, pivot columns, determinant mod p); the determinant is
+    that of a square input and is 0 when its rank is short.
+    """
     rows = [[a % p for a in row] for row in matrix]
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     pivots: list[int] = []
+    det = 1
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pr = i
+        for pr in range(r, m):
+            if rows[pr][c]:
                 break
-        if pr is None:
+        else:
+            det = 0
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            det = -det
+        pivot_row = rows[r]
+        det = det * pivot_row[c] % p
+        inv = pow(pivot_row[c], p - 2, p)
+        for i in range(r + 1, m):
+            if rows[i][c]:
+                f = rows[i][c] * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pivot_row)]
         pivots.append(c)
         r += 1
         if r == m:
             break
+    return rows, pivots, det % p
+
+
+def _gf_nullspace(matrix: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of {x : matrix . x = 0} over GF(p), one vector per free column."""
+    rows, pivots, _ = _gf_echelon(matrix, p)
+    ncols = len(rows[0]) if rows else 0
     pivot_set = set(pivots)
+    back = [(rows[ri], pc, pow(rows[ri][pc], p - 2, p)) for ri, pc in enumerate(pivots)]
+    back.reverse()
     basis = []
     for fc in range(ncols):
         if fc in pivot_set:
             continue
         v = [0] * ncols
         v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = (-rows[ri][fc]) % p
+        for row, pc, inv in back:
+            s = sum(row[c] * v[c] for c in range(pc + 1, ncols) if v[c])
+            v[pc] = -s * inv % p
         basis.append(v)
     return basis
 
@@ -483,12 +508,13 @@ def _saturation_round(order: EquationOrder, p: int) -> EquationOrder:
         n,
     )
     # matrices of multiplication by e_i acting on I/pI
+    error = ConsistencyError("expected integral coordinates in ideal basis")
     mult_mats = []
     for i in range(n):
         mat = []
         for crow in ideal_rows:
             prod = _mult_coords([1 if t == i else 0 for t in range(n)], crow, table, n)
-            y = _solve_lower_triangular_int(ideal_rows, prod)
+            y = _solve_lower_triangular(ideal_rows, prod, error)
             mat.append([t % p for t in y])
         mult_mats.append(mat)
     flat = []

@@ -96,6 +96,12 @@ def binomial_irreducible(n: int, m: int) -> bool:
     return True
 
 
+def _criterion_holds(m: int, p: int) -> bool:
+    """m^p is not congruent to m mod p^2, i.e. v_p(m^p - m) < 2."""
+    p2 = p * p
+    return (pow(m, p, p2) - m) % p2 != 0
+
+
 def alpha_monogenic(n: int, m: int) -> bool:
     """Whether the power order of x^n - m is the full ring of integers.
 
@@ -107,11 +113,7 @@ def alpha_monogenic(n: int, m: int) -> bool:
         raise ValueError(f"x^{n} - ({m}) is reducible over Q")
     if not is_squarefree(m):
         return False
-    for p in prime_divisors(n):
-        p2 = p * p
-        if (pow(m, p, p2) - m) % p2 == 0:
-            return False
-    return True
+    return all(_criterion_holds(m, p) for p in prime_divisors(n))
 
 
 def pure_power_disc(n: int, m: int) -> int:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from eosieve.arith import (
     factorize,
     integer_nth_root,
     is_nth_power_residue,
+    is_probable_prime,
     is_squarefree,
     mod_pow,
     perfect_power_decompose,
@@ -15,6 +18,7 @@ from eosieve.arith import (
     squarefree_kernel,
     vp,
 )
+from eosieve.errors import FactorizationError
 
 
 def test_prime_sieve_small():
@@ -159,6 +163,32 @@ def test_integer_nth_root():
     assert integer_nth_root(10**18, 2) == 10**9
     big = (3**41) ** 7
     assert integer_nth_root(big, 7) == 3**41
+    assert integer_nth_root(10**60, 2) == 10**30
+
+
+@given(st.integers(min_value=0, max_value=10**200), st.integers(min_value=1, max_value=40))
+@settings(max_examples=500, deadline=200)
+def test_integer_nth_root_brackets_the_root(x, k):
+    r = integer_nth_root(x, k)
+    assert r**k <= x < (r + 1) ** k
+
+
+def test_factorize_refuses_semiprime_of_31_digit_primes_promptly():
+    p = 10**30 + 57
+    q = 3 * 10**30 + 91
+    start = time.perf_counter()
+    with pytest.raises(FactorizationError):
+        factorize(p * q)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_strong_pseudoprime_to_twelve_bases_is_rejected():
+    # psi_12 of Sorenson-Webster: passes Miller-Rabin to every prime base up to 37
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    assert not is_probable_prime(psi_12)
+    with pytest.raises(FactorizationError):
+        factorize(psi_12)
 
 
 def test_squarefree_kernel_and_phi():

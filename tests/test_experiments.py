@@ -99,9 +99,10 @@ def test_exceptional_scan_small():
     assert all(g >= 2 for g, _, _ in rep.members)
 
 
-def test_exceptional_scan_worker_determinism():
-    a = exceptional_scan(4, 1500, [100, 500, 1500], workers=1)
-    b = exceptional_scan(4, 1500, [100, 500, 1500], workers=2)
+@pytest.mark.parametrize("n", [4, 6])
+def test_exceptional_scan_worker_determinism(n):
+    a = exceptional_scan(n, 1500, [100, 500, 1500], workers=1)
+    b = exceptional_scan(n, 1500, [100, 500, 1500], workers=2)
     assert a == b
 
 

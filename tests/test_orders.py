@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -110,6 +111,28 @@ def test_unit_wedge_generation():
     assert abs(index_form_value(order, (0, 2, 0, 0)).value) != 1
     sub = EquationOrder.from_basis(order.poly, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 4, 0], [0, 0, 0, 8]], 1)
     assert order_index(sub, order) == 64
+
+
+def test_coordinates_of_basis_elements_are_unit_vectors():
+    maximal = EquationOrder.from_basis(X4_13, MAX13_ROWS, 2)
+    for i in range(4):
+        coords = maximal.coordinates(maximal.basis_element(i))
+        assert coords == tuple(int(i == j) for j in range(4))
+        assert all(isinstance(c, Fraction) for c in coords)
+
+
+def test_coordinates_outside_the_order():
+    maximal = EquationOrder.from_basis(X4_13, MAX13_ROWS, 2)
+    assert maximal.coordinates((Fraction(1, 3), 1, Fraction(1, 4), 0)) == (
+        Fraction(1, 12),
+        Fraction(1),
+        Fraction(1, 2),
+        Fraction(0),
+    )
+    # theta^2 / 2 = e_2 - e_0 / 2 with e_2 = (1 + theta^2) / 2: not in the order
+    assert maximal.coordinates((0, 0, Fraction(1, 2), 0)) == (Fraction(-1, 2), 0, 1, 0)
+    power = EquationOrder.power_order(X4_13)
+    assert power.coordinates((0, 0, Fraction(1, 2), 0)) == (0, 0, Fraction(1, 2), 0)
 
 
 def test_order_index_examples():
