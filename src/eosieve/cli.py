@@ -39,7 +39,7 @@ from .families import (
     trinomial_monogenic_check,
     twist_index_check,
 )
-from .obstruction import obstruction_certificate, enumerate_Pg, estimate_delta, local_coset_check
+from .obstruction import _certificate, enumerate_Pg, estimate_delta, local_coset_check
 from .purefield import binomial_irreducible, pure_index
 
 ENV_PREFIX = "EOS_"
@@ -159,7 +159,7 @@ def _cmd_invariants(args) -> int:
     if not binomial_irreducible(n, m):
         raise ValueError(f"x^{n} - ({m}) is reducible over Q")
     inv = pure_index(n, m)
-    cert = obstruction_certificate(n, m)
+    cert = _certificate(n, m, inv.g)
     payload = _envelope("invariants", {"n": n, "m": m})
     payload.update(
         {

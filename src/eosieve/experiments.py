@@ -1,24 +1,29 @@
 """Desk-scale density and sieve experiments.
 
-Counts are exact: squarefree status and the power-order criterion are read
-off residue tables and quadratic sieves, P-freeness is decided by marking
-multiples of the obstruction primes over the whole range, and the only
-floating point enters in the final density ratios and fits.
+Counts are exact: squarefree status, the power-order criterion and the
+index g(m) are read off residue tables and quadratic sieves, P-freeness is
+decided by marking multiples of the obstruction primes over the whole range,
+and the only floating point enters in the final density ratios and fits.
+The index tables saturate one radicand per residue class mod p^(v_p(n)+1)
+at each p | n; they are guarded by a stabilization check one power of p
+finer, by the congruence criterion, and by a seeded sample of radicands
+saturated directly in every scan.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import prime_array, prime_divisors
-from .obstruction import enumerate_Pg, in_Pg
+from .errors import ConsistencyError
+from .obstruction import enumerate_Pg
 from .orders import equation_order_index
-from .purefield import _criterion_holds, pure_poly
+from .purefield import _criterion_holds, _local_index_table, pure_poly
 
 __all__ = [
     "AlphaDensityReport",
@@ -181,14 +186,19 @@ def count_squarefree_not_1_mod_4(x_max: int) -> int:
     return int(pos.sum() + neg.sum())
 
 
-def pfree_counts_for_primes(primes, x_max: int, checkpoints, label: str) -> Checkpoints:
-    """Counts of 1 <= m <= X untouched by the given primes, by multiple-marking."""
-    xs = _validate_checkpoints(checkpoints, x_max)
+def _pfree_mask(primes, x_max: int) -> np.ndarray:
+    """free[k] says 1 <= k <= x_max has no divisor among the given primes."""
     free = np.ones(x_max + 1, dtype=bool)
     free[0] = False
     for q in primes:
         free[q::q] = False
-    cum = np.cumsum(free.astype(np.int64))
+    return free
+
+
+def pfree_counts_for_primes(primes, x_max: int, checkpoints, label: str) -> Checkpoints:
+    """Counts of 1 <= m <= X untouched by the given primes, by multiple-marking."""
+    xs = _validate_checkpoints(checkpoints, x_max)
+    cum = np.cumsum(_pfree_mask(primes, x_max).astype(np.int64))
     counts = tuple(int(cum[x]) for x in xs)
     return Checkpoints(xs=xs, counts=counts, label=label)
 
@@ -259,72 +269,78 @@ def mertens_sum(g: int, N: int, x_max: int, checkpoints) -> MertensReport:
     )
 
 
-def _scan_chunk(args) -> list[tuple[int, int]]:
-    """Index values for a chunk of radicands; top-level for multiprocessing."""
-    n, values = args
+def _scan_sample_check(n: int, x_max: int, sf: np.ndarray, tables) -> None:
+    """Seeded cross-check of the local index tables against direct saturation.
+
+    Draws 16 admissible radicands (fewer if the range holds fewer) with
+    random.Random(f"{n}:{x_max}") and raises ConsistencyError when the
+    product of their table entries differs from full saturation at the
+    primes dividing n.
+    """
+    ks = np.flatnonzero(sf)
+    rng = random.Random(f"{n}:{x_max}")
     candidates = prime_divisors(n)
-    out = []
-    for m in values:
+    for i in rng.sample(range(2 * len(ks)), min(16, 2 * len(ks))):
+        m = int(ks[i]) if i < len(ks) else -int(ks[i - len(ks)])
         g, _ = equation_order_index(pure_poly(n, m), candidates)
-        out.append((m, g))
-    return out
+        g_table = math.prod(int(t[m % len(t)]) for t in tables)
+        if g != g_table:
+            raise ConsistencyError(
+                f"local index tables give g={g_table} for n={n}, m={m}; saturation gives {g}"
+            )
 
 
 def exceptional_scan(n: int, x_max: int, checkpoints, workers: int = 1) -> ExceptionalScanReport:
     """Per-index table of P_g-free radicands against all radicands of that index.
 
-    Scans squarefree m with 2 <= |m| <= x_max over both signs.  Radicands
-    passing the congruence criterion have index 1 and are skipped (the
-    criterion is equivalent to g = 1; the equivalence is regression-tested
-    against the saturation engine elsewhere); the rest get their exact index
-    from saturation at the primes dividing n.
+    Scans squarefree m with 2 <= |m| <= x_max over both signs.  The index
+    g(m) is the product over p | n of local indices g_p, each read from a
+    table over m mod p^(v_p(n)+1) that saturates one representative per
+    residue class (purefield._local_index_table), and gathered over the
+    whole range.  Three guards raise ConsistencyError: each table must
+    reduce exactly from the table one power of p finer, must agree with the
+    congruence criterion at every residue, and 16 seeded radicands per scan
+    must get the same index from full saturation.  A radicand of index g is
+    P_g-free when no multiple-marking pass over the primes of P_g up to
+    x_max touches |m|.  The workers argument is validated and otherwise
+    unused: no per-radicand work is left to spread over processes.
     """
     xs = _validate_checkpoints(checkpoints, x_max)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     sf = _squarefree_mask(x_max)
-    pos, neg = _criterion_masks(n, x_max, sf)
-    pending = [int(k) for k in np.flatnonzero(sf & ~pos)] + [
-        -int(k) for k in np.flatnonzero(sf & ~neg)
-    ]
-    if workers == 1 or len(pending) < 256:
-        resolved = _scan_chunk((n, pending))
-    else:
-        chunks = [pending[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_chunk, [(n, c) for c in chunks]))
-        resolved = [item for part in parts for item in part]
-    by_g: dict[int, list[int]] = {}
-    for m, g in resolved:
-        by_g.setdefault(g, []).append(m)
+    tables = [np.array(_local_index_table(n, p), dtype=np.int64) for p in prime_divisors(n)]
+    _scan_sample_check(n, x_max, sf, tables)
+    ks = np.arange(x_max + 1)
+    signed_ms = []
+    signed_gs = []
+    for sign in (1, -1):
+        g = np.ones(x_max + 1, dtype=np.int64)
+        for t in tables:
+            g *= t[(sign * ks) % len(t)]
+        keep = sf & (g > 1)
+        signed_ms.append(sign * ks[keep])
+        signed_gs.append(g[keep])
+    ms = np.concatenate(signed_ms)
+    gs = np.concatenate(signed_gs)
+    abs_ms = np.abs(ms)
+    order = np.lexsort((ms, abs_ms, gs))
+    ms, gs, abs_ms = ms[order], gs[order], abs_ms[order]
 
     N = n * (n - 1) // 2
-    pg_cache: dict[tuple[int, int], bool] = {}
-
-    def is_pg_free(m: int, g: int) -> bool:
-        for q in prime_divisors(m):
-            key = (g, q)
-            hit = pg_cache.get(key)
-            if hit is None:
-                hit = in_Pg(q, g, N)
-                pg_cache[key] = hit
-            if hit:
-                return False
-        return True
-
     rows = []
     members: list[tuple[int, int, bool]] = []
-    for g in sorted(by_g):
-        ms = sorted(by_g[g], key=lambda m: (abs(m), m))
-        flags = [is_pg_free(m, g) for m in ms]
-        members.extend((g, m, f) for m, f in zip(ms, flags))
-        abs_ms = [abs(m) for m in ms]
-        free_prefix = np.cumsum(np.array(flags, dtype=np.int64)) if ms else np.array([], dtype=np.int64)
-        totals = []
-        frees = []
-        for x in xs:
-            hi = bisect_right(abs_ms, x)
-            totals.append(hi)
-            frees.append(int(free_prefix[hi - 1]) if hi else 0)
-        rows.append(ExceptionalRow(g=g, totals=tuple(totals), pg_free=tuple(frees)))
+    for g in np.unique(gs).tolist():
+        lo, hi = np.searchsorted(gs, [g, g + 1])
+        flags = _pfree_mask(enumerate_Pg(g, N, x_max), x_max)[abs_ms[lo:hi]]
+        members.extend((g, m, f) for m, f in zip(ms[lo:hi].tolist(), flags.tolist()))
+        free_prefix = np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
+        totals = np.searchsorted(abs_ms[lo:hi], xs, side="right")
+        rows.append(
+            ExceptionalRow(
+                g=g,
+                totals=tuple(totals.tolist()),
+                pg_free=tuple(free_prefix[totals].tolist()),
+            )
+        )
     return ExceptionalScanReport(n=n, xs=xs, rows=tuple(rows), members=tuple(members))

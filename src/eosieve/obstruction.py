@@ -21,6 +21,7 @@ from fractions import Fraction
 from .arith import (
     euler_phi,
     is_nth_power_residue,
+    is_probable_prime,
     perfect_power_decompose,
     prime_array,
     prime_divisors,
@@ -219,8 +220,11 @@ def obstruction_certificate(n: int, m: int) -> ObstructionCertificate | None:
     or None when the power order is already maximal or no divisor of m lies
     in P_g.
     """
-    inv = pure_index(n, m)
-    g = inv.g
+    return _certificate(n, m, pure_index(n, m).g)
+
+
+def _certificate(n: int, m: int, g: int) -> ObstructionCertificate | None:
+    """obstruction_certificate for a caller that already holds g = g(m)."""
     if g == 1:
         return None
     N = n * (n - 1) // 2
@@ -242,7 +246,7 @@ def local_coset_check(
 ) -> CosetCheckReport:
     """Empirical check that index-form values on local generators fill one coset.
 
-    Works in Z[x]/(x^n - m) with coefficients mod q, where q | m.  Random
+    Works in Z[x]/(x^n - m) with coefficients mod q, for a prime q | m.  Random
     generators b_0 + b_1 a + ... + b_{n-1} a^(n-1) are drawn with b_1 a unit
     mod q (the linear coefficient controls the valuation of beta - b_0, so
     this is exactly the local-generator condition); each determinant of the
@@ -254,6 +258,8 @@ def local_coset_check(
     N = n * (n - 1) // 2
     if abs(m) <= 1 or not is_squarefree(m):
         raise ValueError("m must be squarefree with |m| > 1")
+    if not is_probable_prime(q):
+        raise ValueError("q must be prime")
     if m % q != 0:
         raise ValueError("q must divide m")
     if N % q == 0:

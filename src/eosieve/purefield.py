@@ -1,17 +1,19 @@
 """Pure-field specializations for K = Q(m^(1/n)) with squarefree m.
 
 Covers binomial irreducibility, the congruence criterion for the power order
-Z[alpha] to be maximal, the closed-form power-order discriminant, and the
+Z[alpha] to be maximal, the closed-form power-order discriminant, the
 exact index g(m) = [O_K : Z[alpha]] computed by saturation at the primes
-dividing n.
+dividing n, and the local index tables g_p[m mod p^e] that range scans
+gather instead of saturating each radicand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .arith import integer_nth_root, is_squarefree, prime_divisors
+from .arith import integer_nth_root, is_squarefree, prime_divisors, vp
 from .errors import ConsistencyError
 from .orders import EquationOrder, MonicPolynomial, equation_order_index
 
@@ -147,3 +149,67 @@ def pure_index(n: int, m: int) -> PureFieldInvariants:
         g=g,
         power_disc=pure_power_disc(n, m),
     )
+
+
+def _smallest_squarefree_member(r: int, modulus: int) -> int:
+    """The squarefree m = r mod modulus with |m| >= 2 that is least in (|m|, m)."""
+    t = 2
+    while True:
+        for m in (-t, t):
+            if (m - r) % modulus == 0 and is_squarefree(m):
+                return m
+        t += 1
+
+
+def _saturated_residue_table(n: int, p: int, e: int) -> tuple[int, ...]:
+    """p-part of g at the smallest squarefree member of each residue mod p^e.
+
+    Residues divisible by p^2 hold no squarefree radicand and get 0.
+    """
+    modulus = p**e
+    return tuple(
+        0
+        if r % (p * p) == 0
+        else equation_order_index(pure_poly(n, _smallest_squarefree_member(r, modulus)), [p])[0]
+        for r in range(modulus)
+    )
+
+
+@lru_cache(maxsize=None)
+def _local_index_table(n: int, p: int, e: int | None = None) -> tuple[int, ...]:
+    """Local index g_p(m), the p-part of g(m), as a table over m mod p^e.
+
+    The local index at p | n depends on m only through
+    min(v_p(m^(p-1) - 1) - 1, v_p(n)) and on whether p | m
+    (Jakhar-Khanduja-Sangwan, "On the discriminant of pure number fields"),
+    so e = v_p(n) + 1, the default, determines it.  Each entry saturates one
+    representative at p.  Two guards raise ConsistencyError: the table mod
+    p^(e+1) must reduce exactly to the table mod p^e, and every entry must
+    agree with the congruence criterion (index 1 at a unit residue iff the
+    criterion holds there, index 1 at every residue with p || m, where
+    x^n - m is Eisenstein at p).
+    """
+    if e is None:
+        e = vp(n, p) + 1
+    table = _saturated_residue_table(n, p, e)
+    finer = _saturated_residue_table(n, p, e + 1)
+    for r, g in enumerate(finer):
+        coarse = table[r % len(table)]
+        if g != coarse:
+            raise ConsistencyError(
+                f"local index at p={p} for n={n} is not constant mod {p}^{e}: "
+                f"residue {r} mod {p}^{e + 1} has {g}, its class has {coarse}"
+            )
+    for r, g in enumerate(table):
+        if r % (p * p) == 0:
+            ok = g == 0
+        elif r % p == 0 or _criterion_holds(r, p):
+            ok = g == 1
+        else:
+            ok = g > 1
+        if not ok:
+            raise ConsistencyError(
+                f"local index {g} at p={p} for n={n}, m = {r} mod {p}^{e} "
+                f"contradicts the congruence criterion"
+            )
+    return table

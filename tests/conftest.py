@@ -1,11 +1,7 @@
-import os
-
 import pytest
 
 from eosieve.experiments import exceptional_scan
 from eosieve.obstruction import enumerate_Pg
-
-WORKERS = min(4, os.cpu_count() or 1)
 
 
 @pytest.fixture(scope="session")
@@ -15,4 +11,4 @@ def pg4_to_1e7():
 
 @pytest.fixture(scope="session")
 def exceptional_4_1e5():
-    return exceptional_scan(4, 10**5, [10**3, 10**4, 10**5], workers=WORKERS)
+    return exceptional_scan(4, 10**5, [10**3, 10**4, 10**5])

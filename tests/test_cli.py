@@ -35,6 +35,24 @@ def test_invariants_golden_m13(capsys):
     assert payload["certificate"]["witness"] == 3
 
 
+def test_invariants_saturates_once(capsys, monkeypatch):
+    import eosieve.purefield as purefield
+
+    _, plain = _run(capsys, ["invariants", "4", "13"])
+    calls = []
+    saturate = purefield.pure_maximal_order
+
+    def counting(n, m):
+        calls.append((n, m))
+        return saturate(n, m)
+
+    monkeypatch.setattr(purefield, "pure_maximal_order", counting)
+    rc, out = _run(capsys, ["invariants", "4", "13"])
+    assert rc == 0
+    assert calls == [(4, 13)]
+    assert out == plain
+
+
 def test_invariants_golden_m2(capsys):
     rc, out = _run(capsys, ["invariants", "4", "2"])
     assert rc == 0

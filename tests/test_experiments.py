@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from eosieve.errors import ConsistencyError
 from eosieve.experiments import (
     Checkpoints,
     alpha_density,
@@ -106,12 +107,23 @@ def test_exceptional_scan_worker_determinism(n):
     assert a == b
 
 
-def test_exceptional_members_match_certificates():
-    rep = exceptional_scan(4, 3000, [100, 1000, 3000])
+def test_exceptional_scan_sample_guard(monkeypatch):
+    import eosieve.experiments as experiments
+
+    # g_2 of the classes 1 and 5 mod 8 swapped: still consistent with the
+    # congruence criterion, so only the sampled saturations can catch it
+    monkeypatch.setattr(experiments, "_local_index_table", lambda n, p: (0, 4, 1, 1, 0, 8, 1, 1))
+    with pytest.raises(ConsistencyError, match="saturation gives"):
+        exceptional_scan(4, 2000, [100, 500, 2000])
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_exceptional_members_match_certificates(n):
+    rep = exceptional_scan(n, 3000, [100, 1000, 3000])
     rng = random.Random(99)
     sample = rng.sample(list(rep.members), min(100, len(rep.members)))
     for g, m, free in sample:
-        cert = obstruction_certificate(4, m)
+        cert = obstruction_certificate(n, m)
         if free:
             assert cert is None, (g, m)
         else:

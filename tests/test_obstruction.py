@@ -185,3 +185,5 @@ def test_local_coset_preconditions():
         local_coset_check(6, 55, 5, trials=10, seed=0)  # 5 divides N = 15
     with pytest.raises(ValueError):
         local_coset_check(4, 12, 2, trials=10, seed=0)  # 12 not squarefree
+    with pytest.raises(ValueError, match="q must be prime"):
+        local_coset_check(4, 30, 15, trials=200, seed=0)  # 15 | 30 but is composite

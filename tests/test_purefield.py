@@ -1,3 +1,4 @@
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -5,11 +6,11 @@ import pytest
 
 from eosieve.arith import is_squarefree, prime_divisors, vp
 from eosieve.errors import ConsistencyError
-from eosieve.experiments import _scan_chunk
-from eosieve.orders import poly_disc_resultant
+from eosieve.orders import equation_order_index, poly_disc_resultant
 from eosieve.purefield import (
     PureFieldInvariants,
     PureFieldParams,
+    _local_index_table,
     alpha_monogenic,
     binomial_irreducible,
     pure_index,
@@ -19,6 +20,12 @@ from eosieve.purefield import (
 )
 
 WORKERS = min(4, os.cpu_count() or 1)
+
+
+def _saturation_indices(args) -> list[tuple[int, int]]:
+    """(m, g) by direct saturation at the primes dividing n; top-level for the pool."""
+    n, values = args
+    return [(m, equation_order_index(pure_poly(n, m), prime_divisors(n))[0]) for m in values]
 
 
 def test_params_basics():
@@ -126,16 +133,38 @@ def test_criterion_matches_saturation_to_1e4(n):
                 values.append(m)
     chunks = [values[i::WORKERS] for i in range(WORKERS)]
     if WORKERS == 1:
-        parts = [_scan_chunk((n, values))]
+        parts = [_saturation_indices((n, values))]
     else:
         with ProcessPoolExecutor(max_workers=WORKERS) as pool:
-            parts = list(pool.map(_scan_chunk, [(n, c) for c in chunks]))
+            parts = list(pool.map(_saturation_indices, [(n, c) for c in chunks]))
     mism = []
     for part in parts:
         for m, g in part:
             if alpha_monogenic(n, m) != (g == 1):
                 mism.append((m, g))
     assert not mism, f"criterion/saturation mismatches at n={n}: {mism[:10]}"
+
+
+@pytest.mark.parametrize("n, limit", [(4, 400), (6, 200), (8, 100), (9, 100), (12, 40)])
+def test_local_index_tables_match_saturation(n, limit):
+    tables = [_local_index_table(n, p) for p in prime_divisors(n)]
+    for k in range(2, limit + 1):
+        for m in (k, -k):
+            if is_squarefree(m):
+                g = math.prod(t[m % len(t)] for t in tables)
+                assert g == pure_index(n, m).g, (n, m)
+
+
+def test_quartic_local_index_table():
+    # g_2 is 8 for m = 1 mod 8, 4 for m = 5 mod 8, 1 otherwise; 0 marks 4 | m
+    assert _local_index_table(4, 2) == (0, 8, 1, 1, 0, 4, 1, 1)
+
+
+def test_local_index_table_stabilization_guard():
+    # mod 4 is one power of 2 too coarse at n = 4: the class 1 mod 4 splits
+    # into g_2 = 8 (1 mod 8) and g_2 = 4 (5 mod 8)
+    with pytest.raises(ConsistencyError, match="not constant"):
+        _local_index_table(4, 2, vp(4, 2))
 
 
 def test_observed_index_values_quartic():
