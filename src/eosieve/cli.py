@@ -2,9 +2,12 @@
 
 Subcommands wrap the library operations one to one and emit deterministic
 JSON or CSV reports that embed the input parameters and library version.
-Configuration precedence is flags, then EOS_-prefixed environment variables,
-then defaults.  Exit codes: 0 success, 2 usage or precondition violation,
-3 internal consistency failure.
+Each leaf subcommand has one runner in RUNNERS that returns the report's
+params, its fields and its CSV rows (None for JSON-only commands); one
+handler builds the envelope and writes the report.  A runner resolves only
+the settings it reads, each from its flag, then its EOS_-prefixed
+environment variable, then its default.  Exit codes: 0 success, 2 usage or
+precondition violation, 3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,43 +48,13 @@ from .purefield import binomial_irreducible, pure_index
 ENV_PREFIX = "EOS_"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Deterministic run parameters shared by the scan-style subcommands."""
-
-    seed: int = 0
-    x_max: int = 10**6
-    checkpoints: tuple[int, ...] = ()
-    prime_budget: int = 10**6
-    output_format: str = "json"
-    output_path: str | None = None
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.output_format not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
-        if self.checkpoints:
-            if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
-                raise ValueError("checkpoints must be strictly ascending")
-            if self.checkpoints[-1] > self.x_max:
-                raise ValueError("checkpoints must not exceed x_max")
-        if not -(2**63) <= self.seed < 2**63:
-            raise ValueError("seed must fit in 64 bits")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-
-
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def _resolve(flag_value, env_name: str, default, cast):
-    if flag_value is not None:
-        return flag_value
-    raw = _env(env_name)
-    if raw is not None:
-        return cast(raw)
-    return default
+def _setting(args, name: str, default, cast=int):
+    """The flag ``--name``, else ``EOS_<NAME>`` cast from text, else the default."""
+    value = getattr(args, name)
+    if value is not None:
+        return value
+    raw = os.environ.get(ENV_PREFIX + name.upper())
+    return default if raw is None else cast(raw)
 
 
 def _parse_checkpoints(text: str) -> tuple[int, ...]:
@@ -91,34 +64,20 @@ def _parse_checkpoints(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad checkpoint list {text!r}") from exc
 
 
-def _default_checkpoints(x_max: int) -> tuple[int, ...]:
-    ladder = [x_max // 1000, x_max // 100, x_max // 10, x_max]
-    out = []
-    for x in ladder:
-        if x >= 2 and x not in out:
-            out.append(x)
-    if len(out) < 3:
-        raise ValueError("x_max too small for a default checkpoint ladder")
-    return tuple(out)
+def _range(args) -> tuple[int, tuple[int, ...]]:
+    """x_max and the checkpoint ladder of a range experiment.
 
-
-def _config_from_args(args) -> RunConfig:
-    x_max = _resolve(getattr(args, "x_max", None), "X_MAX", 10**6, int)
-    raw_cp = _resolve(getattr(args, "checkpoints", None), "CHECKPOINTS", None, str)
-    checkpoints = (
-        _parse_checkpoints(raw_cp) if isinstance(raw_cp, str) else (raw_cp or ())
-    )
+    Without checkpoints the ladder is the distinct values >= 2 among
+    x_max/1000, x_max/100, x_max/10 and x_max; the library validates it.
+    """
+    x_max = _setting(args, "x_max", 10**6)
+    checkpoints = _setting(args, "checkpoints", (), _parse_checkpoints)
     if not checkpoints:
-        checkpoints = _default_checkpoints(x_max)
-    return RunConfig(
-        seed=_resolve(getattr(args, "seed", None), "SEED", 0, int),
-        x_max=x_max,
-        checkpoints=checkpoints,
-        prime_budget=_resolve(getattr(args, "budget", None), "BUDGET", 10**6, int),
-        output_format=_resolve(getattr(args, "format", None), "FORMAT", "json", str),
-        output_path=_resolve(getattr(args, "out", None), "OUT", None, str),
-        workers=_resolve(getattr(args, "workers", None), "WORKERS", os.cpu_count() or 1, int),
-    )
+        ladder = (x_max // 1000, x_max // 100, x_max // 10, x_max)
+        checkpoints = tuple(sorted({x for x in ladder if x >= 2}))
+        if len(checkpoints) < 3:
+            raise ValueError("x_max too small for a default checkpoint ladder")
+    return x_max, checkpoints
 
 
 def _fraction_payload(fr: Fraction) -> dict:
@@ -129,28 +88,11 @@ def _fraction_payload(fr: Fraction) -> dict:
     }
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _strictly_decreasing(seq) -> bool:
+    return all(b < a for a, b in zip(seq, seq[1:]))
 
 
-def _emit_json(payload: dict, out_path: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
-
-
-def _emit_csv(rows: list[list], out_path: str | None) -> None:
-    text = "".join(",".join(str(x) for x in row) + "\n" for row in rows)
-    _emit(text, out_path)
-
-
-def _envelope(command: str, params: dict) -> dict:
-    return {"command": command, "version": __version__, "params": params}
-
-
-def _cmd_invariants(args) -> int:
-    cfg = _config_from_args(args)
+def _run_invariants(args):
     n, m = args.n, args.m
     if n < 2 or abs(m) <= 1:
         raise ValueError("requires n >= 2 and |m| > 1")
@@ -160,301 +102,262 @@ def _cmd_invariants(args) -> int:
         raise ValueError(f"x^{n} - ({m}) is reducible over Q")
     inv = pure_index(n, m)
     cert = _certificate(n, m, inv.g)
-    payload = _envelope("invariants", {"n": n, "m": m})
-    payload.update(
-        {
-            "n": n,
-            "m": m,
-            "irreducible": True,
-            "squarefree": True,
-            "alpha_monogenic": inv.alpha_monogenic,
-            "g": inv.g,
-            "disc": inv.power_disc,
-            "certificate": cert.to_json_dict() if cert else None,
-        }
-    )
-    _emit_json(payload, cfg.output_path)
-    return 0
+    fields = {
+        "n": n,
+        "m": m,
+        "irreducible": True,
+        "squarefree": True,
+        "alpha_monogenic": inv.alpha_monogenic,
+        "g": inv.g,
+        "disc": inv.power_disc,
+        "certificate": cert.to_json_dict() if cert else None,
+    }
+    return {"n": n, "m": m}, fields, None
 
 
-def _cmd_pset(args) -> int:
-    cfg = _config_from_args(args)
-    limit = _resolve(args.limit, "LIMIT", 1000, int)
+def _run_pset(args):
+    limit = _setting(args, "limit", 1000)
     primes = enumerate_Pg(args.g, args.N, limit)
-    fmt = args.format or ("csv" if _env("FORMAT") is None else _env("FORMAT"))
-    if fmt == "json":
-        payload = _envelope("pset", {"g": args.g, "N": args.N, "limit": limit})
-        payload["primes"] = primes
-        _emit_json(payload, cfg.output_path)
-    else:
-        _emit_csv([[q] for q in primes], cfg.output_path)
-    return 0
+    params = {"g": args.g, "N": args.N, "limit": limit}
+    return params, {"primes": primes}, [[q] for q in primes]
 
 
-def _cmd_density(args) -> int:
-    cfg = _config_from_args(args)
-    kd = estimate_delta(args.g, args.N, cfg.prime_budget)
-    payload = _envelope("density", {"g": args.g, "N": args.N, "budget": cfg.prime_budget})
-    payload.update(
-        {
-            "g": kd.g,
-            "N": kd.N,
-            "h": kd.h,
-            "d": kd.d,
-            "b": kd.b,
-            "nontrivial": kd.nontrivial,
-            "l_over_k": kd.l_over_k,
-            "delta": _fraction_payload(kd.delta),
-        }
-    )
-    _emit_json(payload, cfg.output_path)
-    return 0
+def _run_density(args):
+    budget = _setting(args, "budget", 10**6)
+    kd = estimate_delta(args.g, args.N, budget)
+    params = {"g": args.g, "N": args.N, "budget": budget}
+    return params, asdict(kd) | {"delta": _fraction_payload(kd.delta)}, None
 
 
-def _cmd_coset(args) -> int:
-    cfg = _config_from_args(args)
-    report = local_coset_check(args.n, args.m, args.q, args.trials, cfg.seed)
-    payload = _envelope(
-        "coset",
-        {"n": args.n, "m": args.m, "q": args.q, "trials": args.trials, "seed": cfg.seed},
-    )
-    payload.update(
-        {
-            "n": report.n,
-            "m": report.m,
-            "q": report.q,
-            "trials": report.trials,
-            "failures": report.failures,
-            "base_class": report.base_class,
-            "seed": report.seed,
-        }
-    )
-    _emit_json(payload, cfg.output_path)
-    return 0
+def _run_coset(args):
+    seed = _setting(args, "seed", 0)
+    if not -(2**63) <= seed < 2**63:
+        raise ValueError("seed must fit in 64 bits")
+    report = local_coset_check(args.n, args.m, args.q, args.trials, seed)
+    params = {"n": args.n, "m": args.m, "q": args.q, "trials": args.trials, "seed": seed}
+    return params, asdict(report), None
 
 
-def _strictly_decreasing(seq) -> bool:
-    return all(b < a for a, b in zip(seq, seq[1:]))
+def _run_alpha_density(args):
+    x_max, checkpoints = _range(args)
+    rep = alpha_density(args.n, x_max, checkpoints)
+    xs, counts = rep.checkpoints.xs, rep.checkpoints.counts
+    rel_err = abs(rep.densities[-1] - rep.target) / rep.target
+    params = {
+        "n": args.n,
+        "x_max": x_max,
+        "checkpoints": checkpoints,
+        "tolerance": args.tolerance,
+    }
+    fields = {
+        "xs": xs,
+        "counts": counts,
+        "densities": rep.densities,
+        "target": rep.target,
+        "rel_err_final": rel_err,
+        "pass": rel_err <= args.tolerance,
+    }
+    return params, fields, [("X", "count", "density"), *zip(xs, counts, rep.densities)]
 
 
-def _cmd_experiment(args) -> int:
-    cfg = _config_from_args(args)
-    name = args.name
-    payload = _envelope("experiment", {})
-    payload["name"] = name
-    if name == "alpha-density":
-        rep = alpha_density(args.n, cfg.x_max, cfg.checkpoints)
-        rel_err = abs(rep.densities[-1] - rep.target) / rep.target
-        payload["params"] = {
-            "n": args.n,
-            "x_max": cfg.x_max,
-            "checkpoints": list(cfg.checkpoints),
-            "tolerance": args.tolerance,
-        }
-        payload.update(
-            {
-                "xs": list(rep.checkpoints.xs),
-                "counts": list(rep.checkpoints.counts),
-                "densities": list(rep.densities),
-                "target": rep.target,
-                "rel_err_final": rel_err,
-                "pass": rel_err <= args.tolerance,
-            }
-        )
-        csv_rows = [["X", "count", "density"]] + [
-            [x, c, d]
-            for x, c, d in zip(rep.checkpoints.xs, rep.checkpoints.counts, rep.densities)
-        ]
-    elif name == "pg-free":
-        cp = pg_free_counts(args.g, args.N, cfg.x_max, cfg.checkpoints)
-        ratios = [c / x for c, x in zip(cp.counts, cp.xs)]
-        fit = logpower_fit(cp) if all(c > 0 for c in cp.counts) else None
-        payload["params"] = {
-            "g": args.g,
-            "N": args.N,
-            "x_max": cfg.x_max,
-            "checkpoints": list(cfg.checkpoints),
-        }
-        payload.update(
-            {
-                "xs": list(cp.xs),
-                "counts": list(cp.counts),
-                "ratios": ratios,
-                "fit": None
-                if fit is None
-                else {
-                    "exponent": fit.exponent,
-                    "constant": fit.constant,
-                    "rms_residual": fit.rms_residual,
-                    "window": list(fit.window),
-                },
-                "pass": _strictly_decreasing(ratios),
-            }
-        )
-        csv_rows = [["X", "count", "ratio"]] + [
-            [x, c, r] for x, c, r in zip(cp.xs, cp.counts, ratios)
-        ]
-    elif name == "mertens":
-        rep = mertens_sum(args.g, args.N, cfg.x_max, cfg.checkpoints)
-        payload["params"] = {
-            "g": args.g,
-            "N": args.N,
-            "x_max": cfg.x_max,
-            "checkpoints": list(cfg.checkpoints),
-            "target_delta": args.target_delta,
-        }
-        verdict = None
-        if args.target_delta is not None:
-            verdict = abs(rep.slope - args.target_delta) / args.target_delta <= 0.25
-        payload.update(
-            {
-                "xs": list(rep.xs),
-                "sums": list(rep.sums),
-                "slope": rep.slope,
-                "intercept": rep.intercept,
-                "pass": verdict,
-            }
-        )
-        csv_rows = [["X", "sum"]] + [[x, s] for x, s in zip(rep.xs, rep.sums)]
-    elif name == "exceptional":
-        rep = exceptional_scan(args.n, cfg.x_max, cfg.checkpoints, workers=cfg.workers)
-        rows_payload = []
-        for row in rep.rows:
-            rows_payload.append(
+def _run_pg_free(args):
+    x_max, checkpoints = _range(args)
+    cp = pg_free_counts(args.g, args.N, x_max, checkpoints)
+    ratios = [c / x for c, x in zip(cp.counts, cp.xs)]
+    fit = logpower_fit(cp) if all(c > 0 for c in cp.counts) else None
+    params = {
+        "g": args.g,
+        "N": args.N,
+        "x_max": x_max,
+        "checkpoints": checkpoints,
+    }
+    fields = {
+        "xs": cp.xs,
+        "counts": cp.counts,
+        "ratios": ratios,
+        "fit": asdict(fit) if fit else None,
+        "pass": _strictly_decreasing(ratios),
+    }
+    return params, fields, [("X", "count", "ratio"), *zip(cp.xs, cp.counts, ratios)]
+
+
+def _run_mertens(args):
+    x_max, checkpoints = _range(args)
+    rep = mertens_sum(args.g, args.N, x_max, checkpoints)
+    verdict = None
+    if args.target_delta is not None:
+        verdict = abs(rep.slope - args.target_delta) / args.target_delta <= 0.25
+    params = {
+        "g": args.g,
+        "N": args.N,
+        "x_max": x_max,
+        "checkpoints": checkpoints,
+        "target_delta": args.target_delta,
+    }
+    fields = {
+        "xs": rep.xs,
+        "sums": rep.sums,
+        "slope": rep.slope,
+        "intercept": rep.intercept,
+        "pass": verdict,
+    }
+    return params, fields, [("X", "sum"), *zip(rep.xs, rep.sums)]
+
+
+def _run_exceptional(args):
+    x_max, checkpoints = _range(args)
+    # accepted, validated and echoed; the scan runs in one process
+    workers = _setting(args, "workers", 1)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    rep = exceptional_scan(args.n, x_max, checkpoints)
+    rows = [
+        asdict(row) | {"ratios": row.ratios, "decreasing": _strictly_decreasing(row.ratios)}
+        for row in rep.rows
+    ]
+    params = {
+        "n": args.n,
+        "x_max": x_max,
+        "checkpoints": checkpoints,
+        "workers": workers,
+    }
+    fields = {
+        "xs": rep.xs,
+        "rows": rows,
+        "pass": all(r["decreasing"] for r in rows) if rows else None,
+    }
+    csv_rows = [("g", "X", "total", "pg_free", "ratio")] + [
+        (row.g, *cells)
+        for row in rep.rows
+        for cells in zip(rep.xs, row.totals, row.pg_free, row.ratios)
+    ]
+    return params, fields, csv_rows
+
+
+def _run_trinomial(args):
+    members = [t for t in range(args.t_min, args.t_max + 1) if abs(t) > 1 and in_Tn(args.n, t)]
+    failures = []
+    for t in members:
+        trinomial_data(args.n, t).verify_against_resultant()
+        if not trinomial_monogenic_check(args.n, t):
+            failures.append(t)
+    params = {"n": args.n, "t_min": args.t_min, "t_max": args.t_max}
+    fields = {
+        "members": len(members),
+        "failures": failures,
+        "all_monogenic": not failures,
+    }
+    return params, fields, [("t", "monogenic"), *((t, t not in failures) for t in members)]
+
+
+def _run_twist(args):
+    expected = args.c ** (args.n * (args.n - 1) // 2)
+    checks = []
+    t = 2
+    while len(checks) < args.values:
+        if math.gcd(t, args.c) == 1 and in_Tn(args.n, t):
+            checks.append({"t": t, "index": twist_index_check(args.n, args.c, t)})
+        t += 1
+    params = {"n": args.n, "c": args.c, "values": args.values}
+    fields = {
+        "expected": expected,
+        "checks": checks,
+        "all_match": all(v["index"] == expected for v in checks),
+    }
+    return params, fields, [("t", "index"), *(v.values() for v in checks)]
+
+
+def _run_thin(args):
+    limit = _setting(args, "limit", 10**4)
+    members, nprimes, ratio = thin_member_density(args.n, args.c, limit)
+    expected = 1.0
+    for p in prime_divisors(args.n):
+        expected *= 1 - 1 / p
+    checks = []
+    q = 2
+    while len(checks) < args.sample and q <= limit:
+        if is_probable_prime(q) and thin_Pn_member(args.n, args.c, q):
+            rep = thin_family_check(args.n, args.c, q)
+            checks.append(
                 {
-                    "g": row.g,
-                    "totals": list(row.totals),
-                    "pg_free": list(row.pg_free),
-                    "ratios": list(row.ratios),
-                    "decreasing": _strictly_decreasing(row.ratios),
+                    "q": q,
+                    "alpha_monogenic": rep.alpha_monogenic_of_q,
+                    "index": rep.distinguished_index,
                 }
             )
-        payload["params"] = {
-            "n": args.n,
-            "x_max": cfg.x_max,
-            "checkpoints": list(cfg.checkpoints),
-            "workers": cfg.workers,
-        }
-        payload.update(
-            {
-                "xs": list(rep.xs),
-                "rows": rows_payload,
-                "pass": all(r["decreasing"] for r in rows_payload) if rows_payload else None,
-            }
-        )
-        csv_rows = [["g", "X", "total", "pg_free", "ratio"]]
-        for row in rep.rows:
-            for x, t, f, r in zip(rep.xs, row.totals, row.pg_free, row.ratios):
-                csv_rows.append([row.g, x, t, f, r])
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown experiment {name}")
-    if cfg.output_format == "csv":
-        _emit_csv(csv_rows, cfg.output_path)
-    else:
-        _emit_json(payload, cfg.output_path)
-    return 0
+        q += 1
+    params = {"n": args.n, "c": args.c, "limit": limit, "sample": args.sample}
+    fields = {
+        "members": members,
+        "primes": nprimes,
+        "ratio": ratio,
+        "expected_ratio": expected,
+        "checks": checks,
+    }
+    return params, fields, [("q", "alpha_monogenic", "index"), *(c.values() for c in checks)]
 
 
-def _cmd_family(args) -> int:
-    cfg = _config_from_args(args)
-    name = args.name
-    payload = _envelope("family", {})
-    payload["name"] = name
-    if name == "trinomial":
-        t_lo, t_hi = args.t_min, args.t_max
-        members = [t for t in range(t_lo, t_hi + 1) if abs(t) > 1 and in_Tn(args.n, t)]
-        failures = []
-        for t in members:
-            trinomial_data(args.n, t).verify_against_resultant()
-            if not trinomial_monogenic_check(args.n, t):
-                failures.append(t)
-        payload["params"] = {"n": args.n, "t_min": t_lo, "t_max": t_hi}
-        payload.update(
-            {
-                "members": len(members),
-                "failures": failures,
-                "all_monogenic": not failures,
-            }
-        )
-        csv_rows = [["t", "monogenic"]] + [[t, t not in failures] for t in members]
-    elif name == "twist":
-        expected = args.c ** (args.n * (args.n - 1) // 2)
-        values = []
-        t = 2
-        while len(values) < args.values:
-            if math.gcd(t, args.c) == 1 and in_Tn(args.n, t):
-                values.append({"t": t, "index": twist_index_check(args.n, args.c, t)})
-            t += 1
-        payload["params"] = {"n": args.n, "c": args.c, "values": args.values}
-        payload.update(
-            {
-                "expected": expected,
-                "checks": values,
-                "all_match": all(v["index"] == expected for v in values),
-            }
-        )
-        csv_rows = [["t", "index"]] + [[v["t"], v["index"]] for v in values]
-    elif name == "thin":
-        limit = _resolve(args.limit, "LIMIT", 10**4, int)
-        members, nprimes, ratio = thin_member_density(args.n, args.c, limit)
-        expected = 1.0
-        for p in prime_divisors(args.n):
-            expected *= 1 - 1 / p
-        checks = []
-        count = 0
-        q = 2
-        while count < args.sample and q <= limit:
-            if is_probable_prime(q) and thin_Pn_member(args.n, args.c, q):
-                rep = thin_family_check(args.n, args.c, q)
-                checks.append(
-                    {
-                        "q": q,
-                        "alpha_monogenic": rep.alpha_monogenic_of_q,
-                        "index": rep.distinguished_index,
-                    }
-                )
-                count += 1
-            q += 1
-        payload["params"] = {"n": args.n, "c": args.c, "limit": limit, "sample": args.sample}
-        payload.update(
-            {
-                "members": members,
-                "primes": nprimes,
-                "ratio": ratio,
-                "expected_ratio": expected,
-                "checks": checks,
-            }
-        )
-        csv_rows = [["q", "alpha_monogenic", "index"]] + [
-            [c["q"], c["alpha_monogenic"], c["index"]] for c in checks
-        ]
-    elif name == "scaled":
-        coeffs = tuple(int(x) for x in args.coeffs.split(","))
-        family = ScaledFamily(args.n, coeffs)
-        rep = scaled_family_scan(family, args.t_min, args.t_max, args.candidate_bound)
-        payload["params"] = {
-            "n": args.n,
-            "coeffs": list(coeffs),
-            "t_min": args.t_min,
-            "t_max": args.t_max,
-            "candidate_bound": args.candidate_bound,
-        }
-        payload.update(
-            {
-                "index_values": [list(x) for x in rep.index_values],
-                "kummer_nontrivial": [list(x) for x in rep.kummer_nontrivial],
-                "unresolved": list(rep.unresolved),
-                "out_of_bound": [list(x) for x in rep.out_of_bound],
-                "hypotheses_hold": all(flag for _, flag in rep.kummer_nontrivial),
-            }
-        )
-        csv_rows = [["g", "count"]] + [[g, c] for g, c in rep.index_values]
-    else:  # pragma: no cover
-        raise ValueError(f"unknown family {name}")
-    if cfg.output_format == "csv":
-        _emit_csv(csv_rows, cfg.output_path)
+def _run_scaled(args):
+    coeffs = tuple(int(x) for x in args.coeffs.split(","))
+    family = ScaledFamily(args.n, coeffs)
+    rep = scaled_family_scan(family, args.t_min, args.t_max, args.candidate_bound)
+    params = {
+        "n": args.n,
+        "coeffs": coeffs,
+        "t_min": args.t_min,
+        "t_max": args.t_max,
+        "candidate_bound": args.candidate_bound,
+    }
+    fields = {
+        "index_values": rep.index_values,
+        "kummer_nontrivial": rep.kummer_nontrivial,
+        "unresolved": rep.unresolved,
+        "out_of_bound": rep.out_of_bound,
+        "hypotheses_hold": all(flag for _, flag in rep.kummer_nontrivial),
+    }
+    return params, fields, [("g", "count"), *rep.index_values]
+
+
+# leaf subcommand (the experiment or family name where there is one) -> runner
+RUNNERS = {
+    "invariants": _run_invariants,
+    "pset": _run_pset,
+    "density": _run_density,
+    "coset": _run_coset,
+    "alpha-density": _run_alpha_density,
+    "pg-free": _run_pg_free,
+    "mertens": _run_mertens,
+    "exceptional": _run_exceptional,
+    "trinomial": _run_trinomial,
+    "twist": _run_twist,
+    "thin": _run_thin,
+    "scaled": _run_scaled,
+}
+
+
+def _run(args) -> int:
+    """Run one leaf subcommand and write its report as JSON or CSV.
+
+    ``pset`` defaults to CSV, every other command to JSON; the JSON-only
+    commands write JSON whatever the format.
+    """
+    fmt = _setting(args, "format", "csv" if args.command == "pset" else "json", str)
+    if fmt not in ("json", "csv"):
+        raise ValueError("format must be json or csv")
+    out = _setting(args, "out", None, str)
+    name = getattr(args, "name", None)
+    params, fields, csv_rows = RUNNERS[name or args.command](args)
+    if fmt == "csv" and csv_rows is not None:
+        text = "".join(",".join(str(x) for x in row) + "\n" for row in csv_rows)
     else:
-        _emit_json(payload, cfg.output_path)
+        report = {"command": args.command, "version": __version__, "params": params}
+        if name:
+            report["name"] = name
+        text = json.dumps(report | fields, sort_keys=True, indent=2) + "\n"
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -476,21 +379,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     add_common(p)
-    p.set_defaults(handler=_cmd_invariants)
 
     p = sub.add_parser("pset", help="obstruction primes P_g up to a limit")
     p.add_argument("g", type=int)
     p.add_argument("N", type=int)
     p.add_argument("--limit", type=int, default=None)
     add_common(p)
-    p.set_defaults(handler=_cmd_pset)
 
     p = sub.add_parser("density", help="empirical Chebotarev density of P_g")
     p.add_argument("g", type=int)
     p.add_argument("N", type=int)
     p.add_argument("--budget", type=int, default=None)
     add_common(p)
-    p.set_defaults(handler=_cmd_density)
 
     p = sub.add_parser("coset", help="randomized local single-coset check")
     p.add_argument("n", type=int)
@@ -498,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=int)
     p.add_argument("--trials", type=int, default=1000)
     add_common(p)
-    p.set_defaults(handler=_cmd_coset)
 
     p = sub.add_parser("experiment", help="density experiments")
     p.add_argument(
@@ -513,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=0.01)
     p.add_argument("--target-delta", type=float, default=None)
     add_common(p)
-    p.set_defaults(handler=_cmd_experiment)
 
     p = sub.add_parser("family", help="trinomial, twist, thin, and scaled families")
     p.add_argument("name", choices=("trinomial", "twist", "thin", "scaled"))
@@ -527,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", default="1,1,0,0")
     p.add_argument("--candidate-bound", dest="candidate_bound", type=int, default=None)
     add_common(p)
-    p.set_defaults(handler=_cmd_family)
 
     return parser
 
@@ -536,7 +433,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return _run(args)
     except EnumerationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

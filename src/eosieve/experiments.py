@@ -209,9 +209,8 @@ def pg_free_counts(g: int, N: int, x_max: int, checkpoints) -> Checkpoints:
     Freeness is decided by one pass marking multiples of every obstruction
     prime up to x_max, not by factoring individual integers.
     """
-    return pfree_counts_for_primes(
-        enumerate_Pg(g, N, x_max), x_max, checkpoints, f"P_{g}-free (N={N})"
-    )
+    xs = _validate_checkpoints(checkpoints, x_max)  # before enumerating P_g up to x_max
+    return pfree_counts_for_primes(enumerate_Pg(g, N, x_max), x_max, xs, f"P_{g}-free (N={N})")
 
 
 def pfree_count_inclusion_exclusion(primes, x: int) -> int:
@@ -290,7 +289,7 @@ def _scan_sample_check(n: int, x_max: int, sf: np.ndarray, tables) -> None:
             )
 
 
-def exceptional_scan(n: int, x_max: int, checkpoints, workers: int = 1) -> ExceptionalScanReport:
+def exceptional_scan(n: int, x_max: int, checkpoints) -> ExceptionalScanReport:
     """Per-index table of P_g-free radicands against all radicands of that index.
 
     Scans squarefree m with 2 <= |m| <= x_max over both signs.  The index
@@ -302,12 +301,9 @@ def exceptional_scan(n: int, x_max: int, checkpoints, workers: int = 1) -> Excep
     congruence criterion at every residue, and 16 seeded radicands per scan
     must get the same index from full saturation.  A radicand of index g is
     P_g-free when no multiple-marking pass over the primes of P_g up to
-    x_max touches |m|.  The workers argument is validated and otherwise
-    unused: no per-radicand work is left to spread over processes.
+    x_max touches |m|.
     """
     xs = _validate_checkpoints(checkpoints, x_max)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     sf = _squarefree_mask(x_max)
     tables = [np.array(_local_index_table(n, p), dtype=np.int64) for p in prime_divisors(n)]
     _scan_sample_check(n, x_max, sf, tables)

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -22,6 +25,48 @@ def _schema(name):
 
 def _validate(payload, schema_name):
     jsonschema.validate(payload, _schema(schema_name))
+
+
+# sha256 of each report with the version value masked, captured before the
+# CLI became table-driven; every leaf subcommand in JSON and, where it has
+# one, CSV (JSON-only commands ignore --format csv)
+GOLDEN = [
+    ("invariants 4 13", "0ffa07ac3b8462f8edb6c767863f36fad8acdb24e3461eb184cc910dc95910ab"),
+    ("invariants 4 13 --format csv", "0ffa07ac3b8462f8edb6c767863f36fad8acdb24e3461eb184cc910dc95910ab"),
+    ("pset 4 6 --limit 100", "cbefdcd8e053a1124d460abb196b8709bc8af1c8d569f95df06699bd2cd2b365"),
+    ("pset 4 6 --limit 100 --format json", "57cce26d82bb43cdeb5384a86784737dba3f3b5273f0504ae25eef842708b84f"),
+    ("density 4 6 --budget 200000", "bcffd18a57dc4dfd0638e4f5dee20a5d93d3d461fb8e5fe836d39c10f7cf4648"),
+    ("coset 4 13 13 --trials 200 --seed 0", "b2dd4d1bba697c248462b6ca0b674bb089ddd07eafeeeb929cbdce953cba5f88"),
+    ("experiment alpha-density --n 4 --x-max 20000", "bff7397899fd0652cb13f065f7d42c5afb7d67c0a1f07f33a6c36de68edbc9a5"),
+    ("experiment alpha-density --n 4 --x-max 20000 --format csv", "c1c4603e1636b3cb69f44532e9633cfe7e297028c58be213f24fe80fbd0fe1f7"),
+    ("experiment pg-free --g 4 --N 6 --x-max 100000", "e44028dd8abde42a1db377de943d75a27c9d9bfd7d691d559597add5dd585d2b"),
+    ("experiment pg-free --g 4 --N 6 --x-max 100000 --format csv", "6a9ca2bb14c9ac905f849e5ac51614d3ca5c00b00ff0697b3b8bb66cfc700b7d"),
+    ("experiment mertens --g 4 --N 6 --x-max 100000 --target-delta 0.1667", "76f6ce3e18aded5188e23cca4dd9cad17920cf9f2a10c76e85a3618ad279f976"),
+    ("experiment mertens --g 4 --N 6 --x-max 100000 --target-delta 0.1667 --format csv", "bd9b1098124430d30324366af4d9de9bc1a88fe4c72b773616231e76ee7c8248"),
+    ("experiment mertens --g 4 --N 6 --x-max 100000", "6b1c807231272f65fc06a13b18c042c94cbe162196166864af6fc04834fc43d5"),
+    ("experiment exceptional --n 4 --x-max 3000 --checkpoints 300,1000,3000 --workers 1", "977f976c5f06d18f92578aa9b2f55f7e73c4197e195df42136c2e0c67c96111e"),
+    ("experiment exceptional --n 4 --x-max 3000 --checkpoints 300,1000,3000 --workers 1 --format csv", "f61eac2843363cf8671b54e167aff2308cdd2148069341fddb0a1d43bc21ef3a"),
+    ("family trinomial --n 4 --t-min -60 --t-max 60", "85eb974260dc040810c5e923c50be8296556e36d8439713db9afdc17e63408af"),
+    ("family trinomial --n 4 --t-min -60 --t-max 60 --format csv", "b6c7fd45bcc0b9343191c19d23091351d49a344c5a2198c3145dfede2d7647a6"),
+    ("family twist --n 4 --c 2 --values 4", "d95de2bb91de5b5da3a910f71f40d7bd3fe9626fd6bba7db4ed08a5466a27428"),
+    ("family twist --n 4 --c 2 --values 4 --format csv", "a672f0cc6d2e7fbb0308fd2e5d68fc874c5b505fe25bbe4d146f175fa3d411c4"),
+    ("family thin --n 4 --c 2 --limit 3000 --sample 4", "306bf9fa09f0f64b9ffe1dce2a504fb0b207ee2accd8c95ae33bc15f342db7fc"),
+    ("family thin --n 4 --c 2 --limit 3000 --sample 4 --format csv", "5145a9270cdbec71208255dbac6e4266165d1054f7f4f1f06f8830b98a8b02af"),
+    ("family scaled --n 4 --t-min -25 --t-max 25", "1a46b3eefaac279203e78c12fa1711c4565406ce02687492822a7e923d8f3a2f"),
+    ("family scaled --n 4 --t-min -25 --t-max 25 --format csv", "17a631282a98db6b362fb1cde323b3de0d1155c07133f50713ddd17f63303e37"),
+]
+_VERSION_FIELD = re.compile(r'"version": "[^"]*"')
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[argv for argv, _ in GOLDEN])
+def test_reports_match_golden(capsys, monkeypatch, argv, digest):
+    for name in list(os.environ):
+        if name.startswith("EOS_"):
+            monkeypatch.delenv(name)
+    rc, out = _run(capsys, argv.split())
+    assert rc == 0
+    masked = _VERSION_FIELD.sub('"version": "*"', out, count=1)
+    assert hashlib.sha256(masked.encode()).hexdigest() == digest
 
 
 def test_invariants_golden_m13(capsys):
@@ -214,6 +259,37 @@ def test_env_precedence(capsys, monkeypatch):
     # flag beats the environment
     rc, out = _run(capsys, ["pset", "4", "6", "--limit", "14"])
     assert out == "13\n"
+
+
+def test_workers_default_does_not_depend_on_the_host(capsys, monkeypatch):
+    monkeypatch.delenv("EOS_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    argv = ["experiment", "exceptional", "--n", "4", "--x-max", "3000"]
+    rc, out = _run(capsys, argv + ["--checkpoints", "300,1000,3000"])
+    assert rc == 0
+    assert json.loads(out)["params"]["workers"] == 1
+
+
+def test_unread_x_max_does_not_fail_invariants(capsys, monkeypatch):
+    _, plain = _run(capsys, ["invariants", "4", "13"])
+    monkeypatch.setenv("EOS_X_MAX", "10")
+    rc, out = _run(capsys, ["invariants", "4", "13"])
+    assert rc == 0
+    assert out == plain
+
+
+def test_unread_checkpoints_do_not_fail_pset(capsys, monkeypatch):
+    monkeypatch.setenv("EOS_CHECKPOINTS", "5,3")
+    rc, out = _run(capsys, ["pset", "4", "6", "--limit", "40"])
+    assert rc == 0
+    assert out == "13\n37\n"
+
+
+@pytest.mark.parametrize("ladder", ["5,3,1000", "10,100,2000", "10,100", "1,100,1000"])
+def test_bad_checkpoint_ladder_is_a_usage_error(capsys, ladder):
+    argv = ["experiment", "alpha-density", "--x-max", "1000", "--checkpoints", ladder]
+    assert main(argv) == 2
+    assert "checkpoints" in capsys.readouterr().err
 
 
 def test_csv_emission(capsys):

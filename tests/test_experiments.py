@@ -29,6 +29,17 @@ def test_checkpoints_validation():
     Checkpoints(xs=(10, 100, 1000), counts=(1, 2, 3), label="ok")
 
 
+def test_pg_free_counts_checks_the_ladder_before_enumerating(monkeypatch):
+    import eosieve.experiments as experiments
+
+    def enumerate_pg(*args):
+        raise AssertionError("P_g enumerated before the ladder was checked")
+
+    monkeypatch.setattr(experiments, "enumerate_Pg", enumerate_pg)
+    with pytest.raises(ValueError, match="ascending"):
+        pg_free_counts(4, 6, 10**12, [5, 3, 10**12])
+
+
 def test_alpha_density_target_values():
     assert alpha_density_target(4) == pytest.approx(0.4052847345, abs=1e-9)
     assert alpha_density_target(6) == pytest.approx(0.3039635509, abs=1e-9)
@@ -98,13 +109,6 @@ def test_exceptional_scan_small():
         assert row.totals == tuple(sorted(row.totals))
     # index-1 parameters never appear
     assert all(g >= 2 for g, _, _ in rep.members)
-
-
-@pytest.mark.parametrize("n", [4, 6])
-def test_exceptional_scan_worker_determinism(n):
-    a = exceptional_scan(n, 1500, [100, 500, 1500], workers=1)
-    b = exceptional_scan(n, 1500, [100, 500, 1500], workers=2)
-    assert a == b
 
 
 def test_exceptional_scan_sample_guard(monkeypatch):
