@@ -26,6 +26,7 @@ __all__ = [
     "is_squarefree",
     "mod_pow",
     "perfect_power_decompose",
+    "pow_mod",
     "prime_array",
     "prime_divisors",
     "prime_sieve",
@@ -204,6 +205,32 @@ def mod_pow(base: int, exp: int, modulus: int) -> int:
     if exp < 0:
         raise ValueError("exponent must be nonnegative")
     return pow(base % modulus, exp, modulus)
+
+
+def pow_mod(base, exp, modulus) -> np.ndarray:
+    """Elementwise base**exp mod modulus over broadcast uint64 arrays (at least 1-d).
+
+    The array counterpart of mod_pow: one square-and-multiply pass over the bits of the largest exponent.
+    Every modulus must lie in [1, 2^32), so that the product of two
+    residues fits in uint64.
+    """
+    base, exp, modulus = np.broadcast_arrays(
+        *(np.array(a, dtype=np.uint64, ndmin=1) for a in (base, exp, modulus))
+    )
+    if modulus.size and (modulus.min() < 1 or modulus.max() >= 1 << 32):
+        raise ValueError("pow_mod requires every modulus in [1, 2^32)")
+    one = np.uint64(1)
+    acc = np.ones_like(modulus) % modulus
+    square = base % modulus
+    exp = exp.copy()
+    prod = np.empty_like(acc)
+    while exp.any():
+        np.multiply(acc, square, out=prod)
+        np.remainder(prod, modulus, out=acc, where=(exp & one).astype(bool))
+        exp >>= one
+        np.multiply(square, square, out=square)
+        np.remainder(square, modulus, out=square)
+    return acc
 
 
 def is_nth_power_residue(g: int, N: int, q: int) -> bool:

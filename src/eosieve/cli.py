@@ -183,6 +183,8 @@ def _run_pg_free(args):
 
 def _run_mertens(args):
     x_max, checkpoints = _range(args)
+    if args.target_delta is not None and not args.target_delta > 0:
+        raise ValueError("target-delta must be > 0")
     rep = mertens_sum(args.g, args.N, x_max, checkpoints)
     verdict = None
     if args.target_delta is not None:
@@ -251,6 +253,8 @@ def _run_trinomial(args):
 
 
 def _run_twist(args):
+    if args.c < 2:  # gcd(t, c) = 1 would never hold for c = 0, so the search would not end
+        raise ValueError("c must be >= 2")
     expected = args.c ** (args.n * (args.n - 1) // 2)
     checks = []
     t = 2

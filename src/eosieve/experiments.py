@@ -136,20 +136,34 @@ def _squarefree_mask(x_max: int) -> np.ndarray:
     return mask
 
 
+def _periodic(tables, x_max: int, sign: int, combine) -> np.ndarray:
+    """The ufunc combine (np.logical_and, np.multiply) applied across the
+    tables to t[(sign * k) % len(t)], for 0 <= k <= x_max.
+
+    The result is periodic with period prod(len(t)), so it is built over one
+    period (or the whole range, if that is shorter) and tiled.
+    """
+    period = min(math.prod(len(t) for t in tables), x_max + 1)
+    r = sign * np.arange(period)
+    pattern = np.full(period, combine.identity)
+    for t in tables:
+        pattern = combine(pattern, t[r % len(t)])
+    return np.tile(pattern, x_max // period + 1)[: x_max + 1]
+
+
 def _criterion_masks(n: int, x_max: int, sf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Boolean masks over |m| for the power-order criterion, per sign.
 
     The criterion at p | n depends on m mod p^2 only, so it is tabulated once
-    per residue and gathered over the range.
+    per residue and laid periodically over the range.
     """
-    ks = np.arange(x_max + 1)
-    pos = sf.copy()
-    neg = sf.copy()
-    for p in prime_divisors(n):
-        p2 = p * p
-        ok = np.array([_criterion_holds(r, p) for r in range(p2)], dtype=bool)
-        pos &= ok[ks % p2]
-        neg &= ok[(-ks) % p2]
+    tables = [
+        np.array([_criterion_holds(r, p) for r in range(p * p)], dtype=bool)
+        for p in prime_divisors(n)
+    ]
+    pos, neg = (_periodic(tables, x_max, sign, np.logical_and) for sign in (1, -1))
+    pos &= sf
+    neg &= sf
     return pos, neg
 
 
@@ -170,8 +184,9 @@ def alpha_density(n: int, x_max: int, checkpoints) -> AlphaDensityReport:
     xs = _validate_checkpoints(checkpoints, x_max)
     sf = _squarefree_mask(x_max)
     pos, neg = _criterion_masks(n, x_max, sf)
-    cum = np.cumsum(pos.astype(np.int64) + neg.astype(np.int64))
-    counts = tuple(int(cum[x]) for x in xs)
+    counts = tuple(
+        int(np.count_nonzero(pos[: x + 1]) + np.count_nonzero(neg[: x + 1])) for x in xs
+    )
     cp = Checkpoints(xs=xs, counts=counts, label=f"alpha-monogenic n={n}")
     densities = tuple(c / (2 * x) for c, x in zip(counts, xs))
     return AlphaDensityReport(n=n, checkpoints=cp, densities=densities, target=alpha_density_target(n))
@@ -180,10 +195,11 @@ def alpha_density(n: int, x_max: int, checkpoints) -> AlphaDensityReport:
 def count_squarefree_not_1_mod_4(x_max: int) -> int:
     """#{m : 2 <= |m| <= x_max, m squarefree, m != 1 mod 4}, both signs."""
     sf = _squarefree_mask(x_max)
-    ks = np.arange(x_max + 1)
-    pos = sf & (ks % 4 != 1)
-    neg = sf & ((-ks) % 4 != 1)
-    return int(pos.sum() + neg.sum())
+    not_1_mod_4 = [np.array([True, False, True, True])]
+    return sum(
+        int(np.count_nonzero(sf & _periodic(not_1_mod_4, x_max, sign, np.logical_and)))
+        for sign in (1, -1)
+    )
 
 
 def _pfree_mask(primes, x_max: int) -> np.ndarray:
@@ -198,8 +214,8 @@ def _pfree_mask(primes, x_max: int) -> np.ndarray:
 def pfree_counts_for_primes(primes, x_max: int, checkpoints, label: str) -> Checkpoints:
     """Counts of 1 <= m <= X untouched by the given primes, by multiple-marking."""
     xs = _validate_checkpoints(checkpoints, x_max)
-    cum = np.cumsum(_pfree_mask(primes, x_max).astype(np.int64))
-    counts = tuple(int(cum[x]) for x in xs)
+    free = _pfree_mask(primes, x_max)
+    counts = tuple(int(np.count_nonzero(free[: x + 1])) for x in xs)
     return Checkpoints(xs=xs, counts=counts, label=label)
 
 
@@ -307,15 +323,12 @@ def exceptional_scan(n: int, x_max: int, checkpoints) -> ExceptionalScanReport:
     sf = _squarefree_mask(x_max)
     tables = [np.array(_local_index_table(n, p), dtype=np.int64) for p in prime_divisors(n)]
     _scan_sample_check(n, x_max, sf, tables)
-    ks = np.arange(x_max + 1)
     signed_ms = []
     signed_gs = []
     for sign in (1, -1):
-        g = np.ones(x_max + 1, dtype=np.int64)
-        for t in tables:
-            g *= t[(sign * ks) % len(t)]
+        g = _periodic(tables, x_max, sign, np.multiply)
         keep = sf & (g > 1)
-        signed_ms.append(sign * ks[keep])
+        signed_ms.append(sign * np.flatnonzero(keep))
         signed_gs.append(g[keep])
     ms = np.concatenate(signed_ms)
     gs = np.concatenate(signed_gs)

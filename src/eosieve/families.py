@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, is_squarefree, prime_array, prime_divisors
+from .arith import factorize, is_squarefree, pow_mod, prime_array, prime_divisors
 from .errors import ConsistencyError, FactorizationError
 from .obstruction import kummer_data
 from .orders import (
@@ -311,22 +311,10 @@ def thin_member_density(n: int, c: int, limit: int) -> tuple[int, int, float]:
     """(members, primes, ratio) among primes up to limit."""
     if n < 4 or c < 2:
         raise ValueError("requires n >= 4 and c >= 2")
-    qs = prime_array(limit).astype(np.int64)
-    keep = np.ones(len(qs), dtype=bool)
-    keep &= (c * n) % qs != 0
+    qs = prime_array(limit)
+    keep = (c * n) % qs != 0
     for p in prime_divisors(n):
-        p2 = p * p
-        acc = np.ones(len(qs), dtype=np.int64)
-        base = qs % p2
-        e = p - 1
-        sq = base.copy()
-        while e:
-            if e & 1:
-                acc = acc * sq % p2
-            e >>= 1
-            if e:
-                sq = sq * sq % p2
-        keep &= acc != 1
+        keep &= pow_mod(qs % (p * p), p - 1, p * p) != 1
     members = int(keep.sum())
     return members, len(qs), members / len(qs) if len(qs) else float("nan")
 

@@ -18,6 +18,8 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import (
     euler_phi,
     is_nth_power_residue,
@@ -27,6 +29,7 @@ from .arith import (
     prime_divisors,
     squarefree_kernel,
     is_squarefree,
+    pow_mod,
 )
 from .errors import AmbiguousSnapError, ConsistencyError
 from .orders import _gf_echelon, _poly_mul, _reduce_mod_poly
@@ -163,12 +166,31 @@ def _pg_candidates(g: int, N: int, limit: int) -> tuple[list[int], list[int]]:
     """Candidate primes for P_g up to limit, and the members of P_g among them.
 
     Candidates are the primes q = 1 mod 2N not dividing 2Ng; a candidate is
-    in P_g when g^((q-1)/N) != 1 mod q.  Both lists ascend.
+    in P_g when g^((q-1)/N) != 1 mod q.  Both lists ascend.  The residue
+    test is one pow_mod pass over all candidates, with g reduced mod each q
+    by Horner's rule over its 31-bit limbs; 16 seeded candidates are
+    recomputed with Python's pow, and a mismatch raises ConsistencyError.
     """
+    if limit >= 1 << 32:
+        raise ValueError("limit must be below 2^32")
+    if 2 * N >= limit:  # every candidate is at least 2N + 1
+        return [], []
     primes = prime_array(limit)
-    excluded = 2 * N * g
-    candidates = [q for q in primes[primes % (2 * N) == 1].tolist() if excluded % q]
-    return candidates, [q for q in candidates if pow(g % q, (q - 1) // N, q) != 1]
+    qs = primes[primes % (2 * N) == 1].astype(np.uint64)
+    g_mod = np.zeros_like(qs)
+    for shift in range(31 * ((g.bit_length() - 1) // 31), -1, -31):
+        limb = np.uint64((g >> shift) & ((1 << 31) - 1))
+        g_mod = ((g_mod << np.uint64(31)) + limb) % qs
+    qs = qs[g_mod != 0]  # q > 2N, so q | 2Ng exactly when q | g
+    g_mod = g_mod[g_mod != 0]
+    residues = pow_mod(g_mod, (qs - np.uint64(1)) // np.uint64(N), qs)
+    candidates = qs.tolist()
+    rng = random.Random(f"{g}:{N}:{limit}")
+    for i in rng.sample(range(len(candidates)), min(16, len(candidates))):
+        q = candidates[i]
+        if int(residues[i]) != pow(g % q, (q - 1) // N, q):
+            raise ConsistencyError(f"pow_mod gives {residues[i]} for g={g}, N={N}, q={q}")
+    return candidates, qs[residues != 1].tolist()
 
 
 def enumerate_Pg(g: int, N: int, limit: int) -> list[int]:

@@ -1,5 +1,7 @@
+import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from eosieve.arith import (
     is_squarefree,
     mod_pow,
     perfect_power_decompose,
+    pow_mod,
     prime_sieve,
     squarefree_kernel,
     vp,
@@ -111,6 +114,26 @@ def test_mod_pow_matches_naive(base, exp, modulus):
     for _ in range(exp):
         naive = naive * base % modulus
     assert mod_pow(base, exp, modulus) == naive % modulus
+
+
+def test_pow_mod_matches_pow_below_2_32():
+    rng = random.Random(5)
+    size = 2000
+    base = [rng.randrange(2**64) for _ in range(size)]
+    exp = [rng.randrange(2**64) for _ in range(size)]
+    modulus = [rng.randrange(2**32 - 2**20, 2**32) for _ in range(size)]
+    got = pow_mod(np.array(base, dtype=np.uint64), np.array(exp, dtype=np.uint64), modulus)
+    assert got.tolist() == [pow(b, e, m) for b, e, m in zip(base, exp, modulus)]
+    # a scalar exponent and modulus broadcast; exponent 0 and modulus 1
+    assert pow_mod([2, 3, 4], 0, 1).tolist() == [0, 0, 0]
+    assert pow_mod([2, 3, 4], [0, 5, 2], 7).tolist() == [1, 5, 2]
+
+
+def test_pow_mod_refuses_a_modulus_of_2_32():
+    with pytest.raises(ValueError):
+        pow_mod([2], [3], [2**32])
+    with pytest.raises(ValueError):
+        pow_mod([2], [3], [0])
 
 
 def test_nth_power_residue_examples():

@@ -54,6 +54,15 @@ GOLDEN = [
     ("family thin --n 4 --c 2 --limit 3000 --sample 4 --format csv", "5145a9270cdbec71208255dbac6e4266165d1054f7f4f1f06f8830b98a8b02af"),
     ("family scaled --n 4 --t-min -25 --t-max 25", "1a46b3eefaac279203e78c12fa1711c4565406ce02687492822a7e923d8f3a2f"),
     ("family scaled --n 4 --t-min -25 --t-max 25 --format csv", "17a631282a98db6b362fb1cde323b3de0d1155c07133f50713ddd17f63303e37"),
+    # captured before the criterion masks became periodic and the P_g test
+    # vectorized: two primes divide n (a period L = 36), a composite N, and
+    # g = 2^70 + 3, which does not fit in int64
+    ("experiment alpha-density --n 6 --x-max 20000", "288bf086321445c77612dad97338a1de33efe6722c2fa0952b2b9ca9435a1ad7"),
+    ("experiment alpha-density --n 6 --x-max 20000 --format csv", "7a4b0bc0aeed8f75424c5485feb2b0d00a7966a6d590b1c28308a517593896df"),
+    ("experiment alpha-density --n 12 --x-max 50000", "be088052ca289fbd2f2d8fd7230930ff2a557b7d7b3b3bf4301ffb138e7bd8fb"),
+    ("experiment alpha-density --n 12 --x-max 50000 --format csv", "89be4f717bd94c26bdeb622fdcc4c3a0dc8a0bed09ece234262674643123e614"),
+    ("pset 12 66 --limit 100000 --format json", "972c9264c512c1fb0a8b27f9c6a8d81dbf6ffea08311b649d4431f8c2e8c04ba"),
+    ("pset 1180591620717411303427 6 --limit 100000", "341dab185dc6e2a05894a020503f2567422b43a07a75fa3212094f0ac8f941f5"),
 ]
 _VERSION_FIELD = re.compile(r'"version": "[^"]*"')
 
@@ -309,6 +318,24 @@ def test_invariants_negative_radicand(capsys):
     payload = json.loads(out)
     _validate(payload, "invariants")
     assert payload["m"] == -3 and payload["alpha_monogenic"] is False
+
+
+@pytest.mark.parametrize("c", ["0", "1"])
+def test_twist_rejects_c_below_2_before_searching(capsys, c):
+    # gcd(t, 0) = t, so with c = 0 the search for parameters would never end
+    rc = main(["family", "twist", "--c", c, "--values", "3"])
+    assert rc == 2
+    assert "c must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["0", "-0.1"])
+def test_mertens_rejects_a_target_delta_that_is_not_positive(capsys, target):
+    argv = ["experiment", "mertens", "--x-max", "20000", "--target-delta", target]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "target-delta must be > 0" in captured.err
 
 
 def test_exit_code_usage_error():

@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+from eosieve.arith import is_squarefree
 from eosieve.errors import ConsistencyError
 from eosieve.experiments import (
     Checkpoints,
+    _criterion_masks,
+    _squarefree_mask,
     alpha_density,
     alpha_density_target,
     count_squarefree_not_1_mod_4,
@@ -17,6 +20,7 @@ from eosieve.experiments import (
     pg_free_counts,
 )
 from eosieve.obstruction import obstruction_certificate
+from eosieve.purefield import alpha_monogenic
 
 
 def test_checkpoints_validation():
@@ -59,6 +63,20 @@ def test_alpha_density_small_scale():
         if binomial_irreducible(4, m) and alpha_monogenic(4, m):
             direct += 1
     assert rep.checkpoints.counts[-1] == direct
+
+
+# n = 30 tiles a period of 900 with three primes; at n = 210 the period
+# 44100 is longer than the range
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 30, 210])
+def test_criterion_masks_match_alpha_monogenic(n):
+    x_max = 2000
+    pos, neg = _criterion_masks(n, x_max, _squarefree_mask(x_max))
+    for k in range(2, x_max + 1):
+        if is_squarefree(k):
+            assert pos[k] == alpha_monogenic(n, k), (n, k)
+            assert neg[k] == alpha_monogenic(n, -k), (n, -k)
+        else:
+            assert not pos[k] and not neg[k], (n, k)
 
 
 def test_alpha_density_equals_mod4_count():

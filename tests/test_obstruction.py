@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from eosieve.arith import prime_sieve
-from eosieve.errors import AmbiguousSnapError
+from eosieve.errors import AmbiguousSnapError, ConsistencyError
 from eosieve.obstruction import (
     KummerData,
+    _pg_candidates,
     ObstructionCertificate,
     obstruction_certificate,
     enumerate_Pg,
@@ -70,6 +71,49 @@ def test_enumerate_Pg_examples():
     pg = enumerate_Pg(4, 6, 3000)
     assert all(in_Pg(q, 4, 6) for q in pg)
     assert pg == sorted(pg)
+
+
+@pytest.mark.parametrize("g", [2, 4, 13 * 37, 2**70 + 3, 3**64])
+def test_pg_candidates_match_scalar_loop(g):
+    # g = 2^70 + 3 and 3^64 do not fit in 64 bits
+    primes = prime_sieve(10**5)
+    for N in (2, 3, 6, 28, 66):
+        candidates, members = _pg_candidates(g, N, 10**5)
+        assert candidates == [q for q in primes if q % (2 * N) == 1 and (2 * N * g) % q]
+        assert members == [q for q in primes if in_Pg(q, g, N)]
+
+
+def test_pg_candidates_below_2N_plus_1_are_empty():
+    assert _pg_candidates(4, 6, 12) == ([], [])
+    assert _pg_candidates(4, 6, 13) == ([13], [13])
+    # 2N does not fit in int64 and exceeds the limit
+    assert enumerate_Pg(4, 10**30, 1000) == []
+
+
+def test_pg_candidates_sample_guard(monkeypatch):
+    import eosieve.obstruction as obstruction
+
+    pow_mod = obstruction.pow_mod
+
+    def off_by_one(base, exp, modulus):
+        return (pow_mod(base, exp, modulus) + 1) % modulus
+
+    monkeypatch.setattr(obstruction, "pow_mod", off_by_one)
+    with pytest.raises(ConsistencyError, match="pow_mod gives"):
+        enumerate_Pg(4, 6, 10**4)
+
+
+def test_pg_limit_of_2_32_is_refused_before_sieving(monkeypatch):
+    import eosieve.obstruction as obstruction
+
+    def prime_array(limit):
+        raise AssertionError("the prime sieve was built")
+
+    monkeypatch.setattr(obstruction, "prime_array", prime_array)
+    with pytest.raises(ValueError, match="2\\^32"):
+        enumerate_Pg(4, 6, 2**32)
+    with pytest.raises(ValueError, match="2\\^32"):
+        estimate_delta(4, 6, 2**32)
 
 
 def test_estimate_delta_examples():
