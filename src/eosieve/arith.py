@@ -3,8 +3,9 @@
 Everything is computed with plain Python integers: trial division against a
 cached prime table, deterministic Miller-Rabin for cofactors that outlive the
 trial bound, and the usual modular helpers.  All functions are pure; the
-prime table is grown monotonically and never mutated in place, so it is safe
-to share across threads and processes.
+prime table and the list of trial divisors drawn from it are grown
+monotonically and never mutated in place, so they are safe to share across
+threads and processes.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ _TRIAL_LIMIT = 10**6
 _prime_cache = np.empty(0, dtype=np.int64)
 _prime_cache_limit = 1
 
+# (limit, the primes up to limit as Python ints) for trial division, replaced
+# as one tuple so that readers never see a limit its list does not cover.  The
+# limit grows in doubling steps (from 2^16, capped at _TRIAL_LIMIT) only when
+# a call needs a larger bound, so the list never holds the primes of more than
+# twice the largest bound needed.
+_trial: tuple[int, list[int]] = (1, [])
+
 
 def _ensure_primes(limit: int) -> None:
     global _prime_cache, _prime_cache_limit
@@ -65,6 +73,17 @@ def prime_array(limit: int) -> np.ndarray:
     _ensure_primes(limit)
     hi = np.searchsorted(_prime_cache, limit, side="right")
     return _prime_cache[:hi]
+
+
+def _trial_divisors(bound: int) -> list[int]:
+    """A list of Python-int primes, ascending, covering every prime <= bound."""
+    global _trial
+    limit, primes = _trial
+    if bound > limit:
+        limit = min(max(bound, 2 * limit, 1 << 16), _TRIAL_LIMIT)
+        primes = prime_array(limit).tolist()
+        _trial = (limit, primes)
+    return primes
 
 
 def prime_sieve(limit: int) -> list[int]:
@@ -152,8 +171,7 @@ def factorize(x: int) -> Factorization:
     n = abs(x)
     factors: list[tuple[int, int]] = []
     if n > 1:
-        bound = min(math.isqrt(n), _TRIAL_LIMIT)
-        for p in prime_array(bound).tolist():
+        for p in _trial_divisors(min(math.isqrt(n), _TRIAL_LIMIT)):
             if p * p > n:
                 break
             if n % p == 0:

@@ -3,11 +3,12 @@
 Subcommands wrap the library operations one to one and emit deterministic
 JSON or CSV reports that embed the input parameters and library version.
 Each leaf subcommand has one runner in RUNNERS that returns the report's
-params, its fields and its CSV rows (None for JSON-only commands); one
-handler builds the envelope and writes the report.  A runner resolves only
-the settings it reads, each from its flag, then its EOS_-prefixed
-environment variable, then its default.  Exit codes: 0 success, 2 usage or
-precondition violation, 3 internal consistency failure.
+params, its fields and its CSV rows (an iterable, or None for JSON-only
+commands); one handler builds the envelope and writes the report, CSV in
+chunks of rows.  A runner resolves only the settings it reads, each from
+its flag, then its EOS_-prefixed environment variable, then its default.
+Exit codes: 0 success, 2 usage or precondition violation, 3 internal
+consistency failure.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
-from pathlib import Path
+from itertools import islice
 
 from . import __version__
 from .arith import is_probable_prime, is_squarefree, prime_divisors
@@ -119,7 +120,7 @@ def _run_pset(args):
     limit = _setting(args, "limit", 1000)
     primes = enumerate_Pg(args.g, args.N, limit)
     params = {"g": args.g, "N": args.N, "limit": limit}
-    return params, {"primes": primes}, [[q] for q in primes]
+    return params, {"primes": primes}, ((q,) for q in primes)
 
 
 def _run_density(args):
@@ -352,17 +353,25 @@ def _run(args) -> int:
     name = getattr(args, "name", None)
     params, fields, csv_rows = RUNNERS[name or args.command](args)
     if fmt == "csv" and csv_rows is not None:
-        text = "".join(",".join(str(x) for x in row) + "\n" for row in csv_rows)
+        lines = (",".join(str(x) for x in row) + "\n" for row in csv_rows)
     else:
         report = {"command": args.command, "version": __version__, "params": params}
         if name:
             report["name"] = name
-        text = json.dumps(report | fields, sort_keys=True, indent=2) + "\n"
+        lines = [json.dumps(report | fields, sort_keys=True, indent=2) + "\n"]
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            _write_lines(fh, lines)
     else:
-        sys.stdout.write(text)
+        _write_lines(sys.stdout, lines)
     return 0
+
+
+def _write_lines(stream, lines) -> None:
+    """Write the lines joined 4096 at a time: bounded memory, few write calls."""
+    lines = iter(lines)
+    while text := "".join(islice(lines, 4096)):
+        stream.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

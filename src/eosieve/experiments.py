@@ -4,10 +4,10 @@ Counts are exact: squarefree status, the power-order criterion and the
 index g(m) are read off residue tables and quadratic sieves, P-freeness is
 decided by marking multiples of the obstruction primes over the whole range,
 and the only floating point enters in the final density ratios and fits.
-The index tables saturate one radicand per residue class mod p^(v_p(n)+1)
-at each p | n; they are guarded by a stabilization check one power of p
-finer, by the congruence criterion, and by a seeded sample of radicands
-saturated directly in every scan.
+The index tables hold the closed-form local index at each p | n over
+m mod p^(v_p(n)+1); they are guarded by the congruence criterion, by one
+saturation per residue class (once per process), and by a seeded sample of
+radicands saturated directly in every scan.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .arith import prime_array, prime_divisors
 from .errors import ConsistencyError
 from .obstruction import enumerate_Pg
 from .orders import equation_order_index
-from .purefield import _criterion_holds, _local_index_table, pure_poly
+from .purefield import _criterion_holds, _local_index, _local_index_table, pure_poly
 
 __all__ = [
     "AlphaDensityReport",
@@ -310,18 +310,24 @@ def exceptional_scan(n: int, x_max: int, checkpoints) -> ExceptionalScanReport:
 
     Scans squarefree m with 2 <= |m| <= x_max over both signs.  The index
     g(m) is the product over p | n of local indices g_p, each read from a
-    table over m mod p^(v_p(n)+1) that saturates one representative per
-    residue class (purefield._local_index_table), and gathered over the
-    whole range.  Three guards raise ConsistencyError: each table must
-    reduce exactly from the table one power of p finer, must agree with the
-    congruence criterion at every residue, and 16 seeded radicands per scan
-    must get the same index from full saturation.  A radicand of index g is
+    closed-form table over m mod p^(v_p(n)+1) (purefield._local_index_table)
+    and gathered over the whole range.  Three guards raise ConsistencyError:
+    each table must agree with the congruence criterion at every residue,
+    every residue class is confirmed by saturating one member before the
+    scan (once per process), and 16 seeded radicands per scan must get the
+    same index from full saturation.  A radicand of index g is
     P_g-free when no multiple-marking pass over the primes of P_g up to
     x_max touches |m|.
     """
     xs = _validate_checkpoints(checkpoints, x_max)
     sf = _squarefree_mask(x_max)
-    tables = [np.array(_local_index_table(n, p), dtype=np.int64) for p in prime_divisors(n)]
+    tables = []
+    for p in prime_divisors(n):
+        table = _local_index_table(n, p)
+        for r in range(len(table)):
+            if r % (p * p):  # confirm every class that holds a squarefree radicand
+                _local_index(n, p, r)
+        tables.append(np.array(table, dtype=np.int64))
     _scan_sample_check(n, x_max, sf, tables)
     signed_ms = []
     signed_gs = []

@@ -258,6 +258,61 @@ def _certificate(n: int, m: int, g: int) -> ObstructionCertificate | None:
     return None
 
 
+# Trials per batched block of local_coset_check: bounds its arrays at
+# _COSET_BLOCK * n^2 uint64 entries each, whatever the trial count.
+_COSET_BLOCK = 512
+# Trials per call recomputed on the scalar path as a cross-check.
+_COSET_SPOT_CHECKS = 8
+
+
+def _scalar_det(b: list[int], poly, q: int) -> int:
+    """det mod q of the power matrix (rows 1, beta, ..., beta^(n-1)) of beta = b."""
+    n = len(b)
+    # rows 1, beta, ..., beta^(n-1); beta itself needs no reduction
+    rows = [[1] + [0] * (n - 1), b]
+    cur = b
+    for _ in range(n - 2):
+        cur = [x % q for x in _reduce_mod_poly(_poly_mul(cur, b), poly)]
+        rows.append(cur)
+    return _gf_echelon(rows, q)[2]
+
+
+def _batched_dets(bs: np.ndarray, q: int) -> np.ndarray:
+    """_scalar_det over the rows of a (trials, n) uint64 array, for a prime q < 2^32.
+
+    q divides the radicand, so the ring mod q is F_q[x]/(x^n) and powers are
+    truncated products.
+    Each step reduces a product of two residues, which fits in uint64; the
+    elimination takes a per-trial pivot (the first nonzero entry at or below
+    the diagonal) and inverts it by Fermat with pow_mod.
+    """
+    trials, n = bs.shape
+    qq = np.uint64(q)
+    mats = np.zeros((trials, n, n), dtype=np.uint64)
+    mats[:, 0, 0] = 1
+    mats[:, 1] = bs
+    for k in range(2, n):
+        prev = mats[:, k - 1]
+        for i in range(n):
+            mats[:, k, i:] += prev[:, i : i + 1] * bs[:, : n - i] % qq
+        mats[:, k] %= qq
+    det = np.ones(trials, dtype=np.uint64)
+    every = np.arange(trials)
+    for c in range(n):
+        below = mats[:, c:, c] != 0
+        pivot = c + below.argmax(axis=1)  # c itself when the column is zero
+        swap = pivot != c
+        rows_c = mats[every, c].copy()
+        mats[every, c] = mats[every, pivot]
+        mats[every, pivot] = rows_c
+        det = np.where(swap, (qq - det) % qq, det) * mats[:, c, c] % qq
+        inv = pow_mod(mats[:, c, c], q - 2, q)
+        f = mats[:, c + 1 :, c] * inv[:, None] % qq
+        mats[:, c + 1 :] += qq - f[:, :, None] * mats[:, c, None, :] % qq
+        mats[:, c + 1 :] %= qq
+    return det
+
+
 def local_coset_check(
     n: int,
     m: int,
@@ -276,6 +331,13 @@ def local_coset_check(
     Setting uniformizer_only=False admits b_1 = 0 and serves as the negative
     control.  Randomness comes from random.Random(seed), the stdlib Mersenne
     Twister, so runs are reproducible bit for bit.
+
+    For q < 2^32 the trials run in blocks of _COSET_BLOCK through one numpy
+    pass each (_batched_dets), under two guards that raise ConsistencyError:
+    every determinant must equal b_1^N mod q (the power matrix is triangular
+    in the x-adic filtration of F_q[x]/(x^n)), and _COSET_SPOT_CHECKS seeded
+    trials are recomputed on the scalar path.  Larger q take the scalar path
+    (_scalar_det) for every trial.
     """
     N = n * (n - 1) // 2
     if abs(m) <= 1 or not is_squarefree(m):
@@ -295,20 +357,34 @@ def local_coset_check(
     # det of the power matrix of a itself is 1 (the rows are the power basis)
     base_class = pow(1, exponent, q)
     rng = random.Random(seed)
+    spot_rng = random.Random(f"{n}:{m}:{q}:{trials}:{seed}")
+    spot = set(spot_rng.sample(range(trials), min(_COSET_SPOT_CHECKS, trials)))
     failures = 0
-    for _ in range(trials):
-        b = [rng.randrange(q) for _ in range(n)]
-        if uniformizer_only:
-            b[1] = rng.randrange(1, q)
-        # rows 1, beta, ..., beta^(n-1); beta itself needs no reduction
-        rows = [[1] + [0] * (n - 1), b]
-        cur = b
-        for _ in range(n - 2):
-            cur = [x % q for x in _reduce_mod_poly(_poly_mul(cur, b), poly)]
-            rows.append(cur)
-        r = _gf_echelon(rows, q)[2]
-        if pow(r, exponent, q) != base_class:
-            failures += 1
+    for start in range(0, trials, _COSET_BLOCK):
+        bs = []
+        for _ in range(min(_COSET_BLOCK, trials - start)):
+            b = [rng.randrange(q) for _ in range(n)]
+            if uniformizer_only:
+                b[1] = rng.randrange(1, q)
+            bs.append(b)
+        if q >= 1 << 32:
+            failures += sum(pow(_scalar_det(b, poly, q), exponent, q) != base_class for b in bs)
+            continue
+        block = np.array(bs, dtype=np.uint64)
+        dets = _batched_dets(block, q)
+        bad = np.flatnonzero(dets != pow_mod(block[:, 1], N, q))
+        if bad.size:
+            raise ConsistencyError(
+                f"batched determinant {dets[bad[0]]} != b_1^N mod {q} for n={n}, m={m}, "
+                f"b={bs[bad[0]]}"
+            )
+        for i in spot.intersection(range(start, start + len(bs))):
+            if _scalar_det(bs[i - start], poly, q) != int(dets[i - start]):
+                raise ConsistencyError(
+                    f"batched and scalar determinants differ mod {q} for n={n}, m={m}, "
+                    f"b={bs[i - start]}"
+                )
+        failures += int(np.count_nonzero(pow_mod(dets, exponent, q) != base_class))
     return CosetCheckReport(
         n=n, m=m, q=q, trials=trials, failures=failures, base_class=base_class, seed=seed
     )

@@ -1,10 +1,15 @@
 """Pure-field specializations for K = Q(m^(1/n)) with squarefree m.
 
 Covers binomial irreducibility, the congruence criterion for the power order
-Z[alpha] to be maximal, the closed-form power-order discriminant, the
-exact index g(m) = [O_K : Z[alpha]] computed by saturation at the primes
-dividing n, and the local index tables g_p[m mod p^e] that range scans
-gather instead of saturating each radicand.
+Z[alpha] to be maximal, the closed-form power-order discriminant, and the
+exact index g(m) = [O_K : Z[alpha]] as a product of local indices g_p at
+the primes p | n.  Each g_p is read from a table over m mod p^(v_p(n)+1)
+built from the Jakhar-Khanduja-Sangwan closed form; point queries and range
+scans both read it.  Two guards raise ConsistencyError: every table entry
+must agree with the congruence criterion, and every residue class is
+confirmed, the first time a process reads it, by saturating its smallest
+squarefree member.  pure_maximal_order still saturates, since it returns
+the maximal order itself.
 """
 
 from __future__ import annotations
@@ -127,26 +132,36 @@ def pure_power_disc(n: int, m: int) -> int:
     return (-1) ** ((n - 1) * (n - 2) // 2) * n**n * m ** (n - 1)
 
 
+def _check_radicand(n: int, m: int) -> None:
+    """The preconditions of pure_index and pure_maximal_order, in their order."""
+    if not binomial_irreducible(n, m):
+        raise ValueError(f"x^{n} - ({m}) is reducible over Q")
+    if not is_squarefree(m):
+        raise ValueError(f"m = {m} is not squarefree")
+
+
 def pure_maximal_order(n: int, m: int) -> tuple[int, EquationOrder]:
     """Index g(m) and the maximal order, saturating at the primes dividing n.
 
     Only primes p | n can divide g(m), so these candidates suffice.
     """
-    if not binomial_irreducible(n, m):
-        raise ValueError(f"x^{n} - ({m}) is reducible over Q")
-    if not is_squarefree(m):
-        raise ValueError(f"m = {m} is not squarefree")
+    _check_radicand(n, m)
     return equation_order_index(pure_poly(n, m), prime_divisors(n))
 
 
 def pure_index(n: int, m: int) -> PureFieldInvariants:
-    """Full invariant bundle for the pure field parameters (n, m)."""
-    g, _ = pure_maximal_order(n, m)
+    """Full invariant bundle for the pure field parameters (n, m).
+
+    g is the product of the closed-form local indices at the primes p | n
+    (_local_index); no order is saturated beyond the once-per-class
+    confirmations.
+    """
+    _check_radicand(n, m)
     return PureFieldInvariants(
         params=PureFieldParams(n, m),
         irreducible=True,
         alpha_monogenic=alpha_monogenic(n, m),
-        g=g,
+        g=math.prod(_local_index(n, p, m) for p in prime_divisors(n)),
         power_disc=pure_power_disc(n, m),
     )
 
@@ -161,45 +176,36 @@ def _smallest_squarefree_member(r: int, modulus: int) -> int:
         t += 1
 
 
-def _saturated_residue_table(n: int, p: int, e: int) -> tuple[int, ...]:
-    """p-part of g at the smallest squarefree member of each residue mod p^e.
+def _closed_form(n: int, p: int, r: int) -> int:
+    """g_p(m) for squarefree m = r mod p^(s+1), s = v_p(n), in closed form.
 
-    Residues divisible by p^2 hold no squarefree radicand and get 0.
+    g_p = 1 when p | m; otherwise g_p = p^(sum_{j=1..k} n/p^j) with
+    k = min(v_p(m^(p-1) - 1) - 1, s) (Jakhar-Khanduja-Sangwan, "On the
+    discriminant of pure number fields").  Residues divisible by p^2 hold
+    no squarefree radicand and get 0.
     """
-    modulus = p**e
-    return tuple(
-        0
-        if r % (p * p) == 0
-        else equation_order_index(pure_poly(n, _smallest_squarefree_member(r, modulus)), [p])[0]
-        for r in range(modulus)
-    )
+    s = vp(n, p)
+    modulus = p ** (s + 1)
+    if r % (p * p) == 0:
+        return 0
+    if r % p == 0:
+        return 1
+    unit = (pow(r, p - 1, modulus) - 1) % modulus  # v_p(m^(p-1) - 1), capped at s + 1
+    k = min((vp(unit, p) if unit else s + 1) - 1, s)
+    return p ** sum(n // p**j for j in range(1, k + 1))
 
 
 @lru_cache(maxsize=None)
-def _local_index_table(n: int, p: int, e: int | None = None) -> tuple[int, ...]:
-    """Local index g_p(m), the p-part of g(m), as a table over m mod p^e.
+def _local_index_table(n: int, p: int) -> tuple[int, ...]:
+    """Local index g_p(m), the p-part of g(m), as a table over m mod p^(v_p(n)+1).
 
-    The local index at p | n depends on m only through
-    min(v_p(m^(p-1) - 1) - 1, v_p(n)) and on whether p | m
-    (Jakhar-Khanduja-Sangwan, "On the discriminant of pure number fields"),
-    so e = v_p(n) + 1, the default, determines it.  Each entry saturates one
-    representative at p.  Two guards raise ConsistencyError: the table mod
-    p^(e+1) must reduce exactly to the table mod p^e, and every entry must
-    agree with the congruence criterion (index 1 at a unit residue iff the
+    Entries come from the closed form (_closed_form).  Every entry must agree
+    with the congruence criterion (index 1 at a unit residue iff the
     criterion holds there, index 1 at every residue with p || m, where
-    x^n - m is Eisenstein at p).
+    x^n - m is Eisenstein at p), or ConsistencyError is raised.
     """
-    if e is None:
-        e = vp(n, p) + 1
-    table = _saturated_residue_table(n, p, e)
-    finer = _saturated_residue_table(n, p, e + 1)
-    for r, g in enumerate(finer):
-        coarse = table[r % len(table)]
-        if g != coarse:
-            raise ConsistencyError(
-                f"local index at p={p} for n={n} is not constant mod {p}^{e}: "
-                f"residue {r} mod {p}^{e + 1} has {g}, its class has {coarse}"
-            )
+    modulus = p ** (vp(n, p) + 1)
+    table = tuple(_closed_form(n, p, r) for r in range(modulus))
     for r, g in enumerate(table):
         if r % (p * p) == 0:
             ok = g == 0
@@ -209,7 +215,33 @@ def _local_index_table(n: int, p: int, e: int | None = None) -> tuple[int, ...]:
             ok = g > 1
         if not ok:
             raise ConsistencyError(
-                f"local index {g} at p={p} for n={n}, m = {r} mod {p}^{e} "
+                f"local index {g} at p={p} for n={n}, m = {r} mod {modulus} "
                 f"contradicts the congruence criterion"
             )
     return table
+
+
+# residue classes (n, p, m mod p^(v_p(n)+1)) whose table entry this process
+# has confirmed by saturation
+_confirmed: set[tuple[int, int, int]] = set()
+
+
+def _local_index(n: int, p: int, m: int) -> int:
+    """g_p(m) for squarefree m, read from _local_index_table(n, p).
+
+    The first time a process reads a residue class, its entry is confirmed
+    once by saturating the class's smallest squarefree member at p; a
+    mismatch raises ConsistencyError.
+    """
+    table = _local_index_table(n, p)
+    r = m % len(table)
+    if (n, p, r) not in _confirmed:
+        member = _smallest_squarefree_member(r, len(table))
+        g = equation_order_index(pure_poly(n, member), [p])[0]
+        if g != table[r]:
+            raise ConsistencyError(
+                f"closed-form local index {table[r]} at p={p} for n={n}, "
+                f"m = {r} mod {len(table)}; saturation of m = {member} gives {g}"
+            )
+        _confirmed.add((n, p, r))
+    return table[r]

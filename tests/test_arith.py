@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -221,3 +222,85 @@ def test_squarefree_kernel_and_phi():
     assert euler_phi(12) == 4
     assert euler_phi(1) == 1
     assert euler_phi(30) == 8
+
+
+def _trial_division(x: int) -> tuple[tuple[int, int], ...]:
+    """Factors of x >= 1 by division by every integer d with d^2 <= x."""
+    factors = []
+    d = 2
+    while d * d <= x:
+        e = 0
+        while x % d == 0:
+            x //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 1
+    if x > 1:
+        factors.append((x, 1))
+    return tuple(factors)
+
+
+@pytest.fixture
+def cold_prime_tables(monkeypatch):
+    """An empty prime cache and trial-division list, restored after the test."""
+    import eosieve.arith as arith
+
+    monkeypatch.setattr(arith, "_prime_cache", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(arith, "_prime_cache_limit", 1)
+    monkeypatch.setattr(arith, "_trial", (1, []))
+    return arith
+
+
+def test_factorize_matches_trial_division_before_and_after_the_cache_grows(cold_prime_tables):
+    rng = random.Random(5)
+    small = prime_sieve(3000)
+    large = [1000003, 1000033, 2147483647, 4294967291, 10**12 + 39]
+    for phase in ("cold", "grown"):
+        if phase == "grown":
+            cold_prime_tables.prime_array(3 * 10**7)
+            assert cold_prime_tables._prime_cache_limit >= 3 * 10**7
+        for _ in range(150):
+            x = rng.randrange(2, 10**8)
+            assert factorize(x).factors == _trial_division(x), (phase, x)
+        for _ in range(150):
+            # a known factorization: small primes times at most one large prime
+            exps = {p: rng.randrange(1, 4) for p in rng.sample(small, rng.randrange(0, 4))}
+            if rng.random() < 0.5 or not exps:
+                exps[rng.choice(large)] = 1
+            x = math.prod(p**e for p, e in exps.items())
+            assert factorize(-x).factors == tuple(sorted(exps.items())), (phase, x)
+
+
+def test_factorize_builds_its_trial_list_a_handful_of_times(cold_prime_tables, monkeypatch):
+    calls = []
+    prime_array = cold_prime_tables.prime_array
+
+    def counting(limit):
+        calls.append(limit)
+        return prime_array(limit)
+
+    monkeypatch.setattr(cold_prime_tables, "prime_array", counting)
+    rng = random.Random(11)
+    refused = 0
+    for _ in range(1000):
+        try:
+            factorize(rng.randrange(2, 10**14) * rng.choice([1, 1000003]))
+        except FactorizationError:
+            refused += 1
+    assert 0 < refused < 1000
+    # doubling from 2^16 to the trial bound of 10^6: 2^16, 2^17, 2^18, 2^19, 10^6
+    assert len(calls) <= 5, calls
+
+
+def test_factorize_refusal_above_the_trial_bound_is_unchanged():
+    p, q = 1000003, 1000033
+    with pytest.raises(FactorizationError):
+        factorize(p * q)
+    with pytest.raises(FactorizationError):
+        factorize(2 * 3 * p * q)
+    assert factorize(p * p).factors == ((p, 2),)
+    assert factorize(-(q**3)).factors == ((q, 3),)
+    assert factorize(6 * p**2).factors == ((2, 1), (3, 1), (p, 2))
+    with pytest.raises(FactorizationError):
+        factorize(p * 4294967291)  # no Pollard rho: a composite cofactor is refused

@@ -63,6 +63,28 @@ GOLDEN = [
     ("experiment alpha-density --n 12 --x-max 50000 --format csv", "89be4f717bd94c26bdeb622fdcc4c3a0dc8a0bed09ece234262674643123e614"),
     ("pset 12 66 --limit 100000 --format json", "972c9264c512c1fb0a8b27f9c6a8d81dbf6ffea08311b649d4431f8c2e8c04ba"),
     ("pset 1180591620717411303427 6 --limit 100000", "341dab185dc6e2a05894a020503f2567422b43a07a75fa3212094f0ac8f941f5"),
+    # captured while g(m) was still computed by saturation and the coset
+    # trials ran one at a time: negative radicands, m = 1 mod p^(v_p(n)+1)
+    # (26, -74; 197; 55, -26; 73, -71; 33, -31), degrees up to 16, a quartic
+    # coset longer than one block of trials, a sextic coset, and an n = 13
+    # scan (168 residue classes)
+    ("invariants 5 7", "f2c00492750eadeda8ca7b59c2ccf49eb27d7e4847cad61a46b9acc95faf7745"),
+    ("invariants 5 26", "268f931b832cc6235bcc212f9f753c4af080cc4ca2beef3b06dfbfbfe898f373"),
+    ("invariants 5 -74", "e4a38bb997d26bae9dfdeddeec88fa27597835c874d50886c4e1505b5ec3be05"),
+    ("invariants 7 197", "7c4d2d0d852a4aa2ff2cec0a35e4ccadb6b36601e747ac496aa153313fadd81e"),
+    ("invariants 7 -5", "bbba9a787bcc13593c46947043c6cb5ce44c22bb2982dbaff8c26ce70c5cdc41"),
+    ("invariants 9 55", "e37825dda5198f0c850ff7eee118079edb146f78ee3155b470c97b983fd36d05"),
+    ("invariants 9 -26", "e672309815f1a07efd96687c89a9ae0d032bfb3b4ae10e6e241b8bbc8cce6fd8"),
+    ("invariants 9 10", "675d3056745e546aef71902939fc59306cd4d7add12bbc1262bfcca29043f5c8"),
+    ("invariants 12 73", "85ab62ec91fcdb12b7814f1426b9b4a7ce7f7582378abf227c0524e7e41e4b43"),
+    ("invariants 12 -71", "f72897360c3f72a183a966353cf51d3addd2aab735e5029e33326c97c54ab4b1"),
+    ("invariants 12 35", "10f07d22f13c432578fb795b5807db1e86d90e1b40757ad4a58f58c2bf206a4e"),
+    ("invariants 16 33", "d3a94a1406f5a26002e7adf14de1adfa8908a30cf7b52a84a7a5dc9111aa65d8"),
+    ("invariants 16 -31", "3417be7b16bea2f717a675aae56c4e09b948e2452b27127ab1f47884949faac6"),
+    ("invariants 16 -7", "d1297aa872c2bd66c2d633a8cad59244f45feb2b4e516b562db3dcfd3f30eb38"),
+    ("coset 4 13 13 --trials 1000 --seed 0", "b2f6add97686ca1ab56be4d59e4a2364ecfca6a6d6719ee453051252a8e98be2"),
+    ("coset 6 -35 7 --trials 300 --seed 5", "e39daf48639846aba02bd0bda4255127bfc0d7c4d12ebd0c49497a7ec055aeec"),
+    ("experiment exceptional --n 13 --x-max 300 --checkpoints 50,100,300", "a78fda8bb32212dae59b00399a3a513b3bd7aedf2272bd8df3cc3a831eb186ca"),
 ]
 _VERSION_FIELD = re.compile(r'"version": "[^"]*"')
 
@@ -89,22 +111,38 @@ def test_invariants_golden_m13(capsys):
     assert payload["certificate"]["witness"] == 3
 
 
-def test_invariants_saturates_once(capsys, monkeypatch):
+def test_invariants_saturates_once_per_class(capsys, monkeypatch):
+    import eosieve.orders as orders
     import eosieve.purefield as purefield
 
     _, plain = _run(capsys, ["invariants", "4", "13"])
-    calls = []
-    saturate = purefield.pure_maximal_order
+    monkeypatch.setattr(purefield, "_confirmed", set())
+    saturated = []
+    saturate = purefield.equation_order_index
+    p_saturate = orders.p_saturate
 
-    def counting(n, m):
-        calls.append((n, m))
-        return saturate(n, m)
+    def counting(poly, primes):
+        saturated.append((poly, list(primes)))
+        return saturate(poly, primes)
 
-    monkeypatch.setattr(purefield, "pure_maximal_order", counting)
+    rounds = []
+
+    def counting_rounds(order, p):
+        rounds.append(p)
+        return p_saturate(order, p)
+
+    monkeypatch.setattr(purefield, "equation_order_index", counting)
+    monkeypatch.setattr(orders, "p_saturate", counting_rounds)
     rc, out = _run(capsys, ["invariants", "4", "13"])
-    assert rc == 0
-    assert calls == [(4, 13)]
-    assert out == plain
+    assert rc == 0 and out == plain
+    # 13 = 5 mod 8, and the least squarefree member of that class is -3
+    assert saturated == [(purefield.pure_poly(4, -3), [2])]
+    assert rounds == [2]
+    saturated.clear()
+    rounds.clear()
+    rc, out = _run(capsys, ["invariants", "4", "13"])
+    assert rc == 0 and out == plain
+    assert saturated == [] and rounds == []
 
 
 def test_invariants_golden_m2(capsys):
@@ -134,6 +172,20 @@ def test_pset_csv_matches_example(capsys):
     rc, out = _run(capsys, ["pset", "4", "6", "--limit", "40"])
     assert rc == 0
     assert out == "13\n37\n"
+
+
+def test_pset_csv_is_the_same_on_stdout_and_in_the_out_file(capsys, tmp_path):
+    from eosieve.obstruction import enumerate_Pg
+
+    argv = ["pset", "4", "6", "--limit", "1000000"]
+    rc, out = _run(capsys, argv)
+    assert rc == 0
+    primes = enumerate_Pg(4, 6, 10**6)
+    assert len(primes) > 3 * 4096  # written in several chunks
+    assert out == "".join(f"{q}\n" for q in primes)
+    target = tmp_path / "pset.csv"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert target.read_bytes() == out.encode()
 
 
 def test_pset_json_schema(capsys):

@@ -150,3 +150,25 @@ def test_exceptional_members_match_certificates(n):
             assert cert is None, (g, m)
         else:
             assert cert is not None and cert.g == g, (g, m)
+
+
+def test_exceptional_scan_saturates_once_per_class_plus_the_sample(monkeypatch):
+    import eosieve.experiments as experiments
+    import eosieve.purefield as purefield
+
+    monkeypatch.setattr(purefield, "_confirmed", set())
+    calls = []
+    saturate = purefield.equation_order_index
+
+    def counting(poly, primes):
+        calls.append(poly)
+        return saturate(poly, primes)
+
+    monkeypatch.setattr(purefield, "equation_order_index", counting)
+    monkeypatch.setattr(experiments, "equation_order_index", counting)
+    exceptional_scan(13, 300, [50, 100, 300])
+    classes = 13**2 - 1  # residues mod 13^2 that hold a squarefree radicand
+    assert len(calls) <= classes + 16
+    calls.clear()
+    exceptional_scan(13, 300, [50, 100, 300])  # every class is confirmed already
+    assert len(calls) <= 16

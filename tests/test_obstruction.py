@@ -1,11 +1,16 @@
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eosieve.arith import prime_sieve
 from eosieve.errors import AmbiguousSnapError, ConsistencyError
 from eosieve.obstruction import (
+    _COSET_BLOCK,
     KummerData,
+    _batched_dets,
     _pg_candidates,
     ObstructionCertificate,
     obstruction_certificate,
@@ -15,7 +20,10 @@ from eosieve.obstruction import (
     kummer_data,
     local_coset_check,
     minus_one_residue_check,
+    _scalar_det,
 )
+from eosieve.orders import _gf_echelon, _poly_mul, _reduce_mod_poly
+from eosieve.purefield import pure_poly
 
 
 def test_kummer_data_examples():
@@ -231,3 +239,91 @@ def test_local_coset_preconditions():
         local_coset_check(4, 12, 2, trials=10, seed=0)  # 12 not squarefree
     with pytest.raises(ValueError, match="q must be prime"):
         local_coset_check(4, 30, 15, trials=200, seed=0)  # 15 | 30 but is composite
+
+
+def _reference_failures(n, m, q, trials, seed, uniformizer_only):
+    """Failures of local_coset_check by the one-trial-at-a-time loop over _gf_echelon."""
+    N = n * (n - 1) // 2
+    exponent = (q - 1) // math.gcd(N, q - 1)
+    poly = pure_poly(n, m)
+    rng = random.Random(seed)
+    failures = 0
+    for _ in range(trials):
+        b = [rng.randrange(q) for _ in range(n)]
+        if uniformizer_only:
+            b[1] = rng.randrange(1, q)
+        rows = [[1] + [0] * (n - 1), b]
+        cur = b
+        for _ in range(n - 2):
+            cur = [x % q for x in _reduce_mod_poly(_poly_mul(cur, b), poly)]
+            rows.append(cur)
+        if pow(_gf_echelon(rows, q)[2], exponent, q) != 1:
+            failures += 1
+    return failures
+
+
+@pytest.mark.parametrize(
+    "n, m, q",
+    [(2, 6, 2), (3, 10, 5), (4, 13, 13), (6, -35, 7), (7, 22, 11), (9, 26, 13), (4, 4294967291, 4294967291)],
+)
+def test_batched_dets_match_gf_echelon(n, m, q):
+    rng = random.Random(f"{n}:{m}:{q}")
+    bs = [[rng.randrange(q) for _ in range(n)] for _ in range(300)]
+    bs += [[rng.randrange(q)] + [0] * (n - 1) for _ in range(5)]  # rank 1
+    bs += [[0, 0] + [rng.randrange(q) for _ in range(n - 2)] for _ in range(5)]  # b_1 = 0
+    dets = _batched_dets(np.array(bs, dtype=np.uint64), q)
+    poly = pure_poly(n, m)
+    for b, det in zip(bs, dets.tolist()):
+        assert det == _scalar_det(b, poly, q), b
+        assert det == pow(b[1], n * (n - 1) // 2, q), b
+
+
+@pytest.mark.parametrize(
+    "n, m, q, trials",
+    [
+        (4, 13, 13, _COSET_BLOCK + 37),  # two blocks, the last one partial
+        (6, -35, 7, 2 * _COSET_BLOCK),
+        (4, 4294967291, 4294967291, 300),  # q just below 2^32, batched
+        (4, 4294967311, 4294967311, 100),  # q above 2^32, scalar path
+    ],
+)
+def test_local_coset_check_matches_the_scalar_loop(n, m, q, trials):
+    for uniformizer_only in (True, False):
+        report = local_coset_check(n, m, q, trials, seed=3, uniformizer_only=uniformizer_only)
+        assert report.failures == _reference_failures(n, m, q, trials, 3, uniformizer_only)
+    assert report.trials == trials
+
+
+@pytest.mark.parametrize(
+    "n, m, q, seed, failures",
+    # failures of the negative control over 500 trials, captured while the
+    # trials ran one at a time
+    [(4, 13, 13, 0, 37), (6, -35, 7, 3, 60), (5, 22, 11, 9, 47)],
+)
+def test_local_coset_negative_control_is_pinned(n, m, q, seed, failures):
+    report = local_coset_check(n, m, q, trials=500, seed=seed, uniformizer_only=False)
+    assert (report.failures, report.base_class) == (failures, 1)
+
+
+def test_local_coset_identity_guard_catches_a_bad_eliminator(monkeypatch):
+    import eosieve.obstruction as obstruction
+
+    eliminate = obstruction._batched_dets
+
+    def off_by_one(bs, q):
+        dets = eliminate(bs, q)
+        dets[-1] = (dets[-1] + 1) % q
+        return dets
+
+    monkeypatch.setattr(obstruction, "_batched_dets", off_by_one)
+    with pytest.raises(ConsistencyError, match="b_1\\^N"):
+        local_coset_check(4, 13, 13, trials=50, seed=0)
+
+
+def test_local_coset_scalar_spot_check_catches_a_disagreement(monkeypatch):
+    import eosieve.obstruction as obstruction
+
+    # the eliminator stays right, so only the scalar recomputation differs
+    monkeypatch.setattr(obstruction, "_scalar_det", lambda b, poly, q: -1)
+    with pytest.raises(ConsistencyError, match="batched and scalar"):
+        local_coset_check(4, 13, 13, trials=50, seed=0)

@@ -4,6 +4,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import eosieve.purefield as purefield
 from eosieve.arith import is_squarefree, prime_divisors, vp
 from eosieve.errors import ConsistencyError
 from eosieve.orders import equation_order_index, poly_disc_resultant
@@ -152,7 +153,31 @@ def test_local_index_tables_match_saturation(n, limit):
         for m in (k, -k):
             if is_squarefree(m):
                 g = math.prod(t[m % len(t)] for t in tables)
-                assert g == pure_index(n, m).g, (n, m)
+                assert g == pure_maximal_order(n, m)[0], (n, m)
+
+
+def _least_members(r, modulus):
+    """The squarefree m = r mod modulus with |m| >= 2 least in absolute value, one per sign."""
+    found = []
+    for sign in (1, -1):
+        m = 2 * sign
+        while (m - r) % modulus or not is_squarefree(m):
+            m += sign
+        found.append(m)
+    return found
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_closed_form_matches_saturation_at_every_residue(n):
+    for p in prime_divisors(n):
+        table = _local_index_table(n, p)
+        assert len(table) == p ** (vp(n, p) + 1)
+        for r, g in enumerate(table):
+            if r % (p * p) == 0:
+                assert g == 0
+                continue
+            for m in _least_members(r, len(table)):
+                assert equation_order_index(pure_poly(n, m), [p])[0] == g, (n, p, m)
 
 
 def test_quartic_local_index_table():
@@ -160,11 +185,43 @@ def test_quartic_local_index_table():
     assert _local_index_table(4, 2) == (0, 8, 1, 1, 0, 4, 1, 1)
 
 
-def test_local_index_table_stabilization_guard():
-    # mod 4 is one power of 2 too coarse at n = 4: the class 1 mod 4 splits
-    # into g_2 = 8 (1 mod 8) and g_2 = 4 (5 mod 8)
-    with pytest.raises(ConsistencyError, match="not constant"):
-        _local_index_table(4, 2, vp(4, 2))
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """No table built and no residue class confirmed, and none left behind."""
+    monkeypatch.setattr(purefield, "_confirmed", set())
+    _local_index_table.cache_clear()
+    yield
+    _local_index_table.cache_clear()
+
+
+def test_class_confirmation_guard(monkeypatch, fresh_tables):
+    formula = purefield._closed_form
+
+    def swapped(n, p, r):
+        # g_2 of the classes 1 and 5 mod 8 swapped at n = 4
+        return formula(n, p, 6 - r if (n, p) == (4, 2) and r in (1, 5) else r)
+
+    monkeypatch.setattr(purefield, "_closed_form", swapped)
+    # both entries exceed 1, so the congruence criterion cannot see the swap
+    assert _local_index_table(4, 2) == (0, 4, 1, 1, 0, 8, 1, 1)
+    assert pure_index(4, 3).g == 1
+    with pytest.raises(ConsistencyError, match="saturation of m = -3 gives 4"):
+        pure_index(4, 13)  # 13 = 5 mod 8
+
+
+def test_local_index_table_criterion_guard(monkeypatch, fresh_tables):
+    monkeypatch.setattr(purefield, "_closed_form", lambda n, p, r: 1)
+    with pytest.raises(ConsistencyError, match="congruence criterion"):
+        _local_index_table(4, 2)
+
+
+def test_pure_index_errors_keep_their_order():
+    with pytest.raises(ValueError, match="requires n >= 2"):
+        pure_index(4, 1)
+    with pytest.raises(ValueError, match="reducible"):
+        pure_index(4, 16)  # a square, and not squarefree either
+    with pytest.raises(ValueError, match="not squarefree"):
+        pure_index(4, 12)
 
 
 def test_observed_index_values_quartic():
