@@ -277,14 +277,13 @@ def _scalar_det(b: list[int], poly, q: int) -> int:
     return _gf_echelon(rows, q)[2]
 
 
-def _batched_dets(bs: np.ndarray, q: int) -> np.ndarray:
-    """_scalar_det over the rows of a (trials, n) uint64 array, for a prime q < 2^32.
+def _power_matrices(bs: np.ndarray, q: int) -> np.ndarray:
+    """The power matrices (rows 1, beta, ..., beta^(n-1)) mod q of the rows of a
+    (trials, n) uint64 array, for a prime q < 2^32 dividing the radicand.
 
-    q divides the radicand, so the ring mod q is F_q[x]/(x^n) and powers are
-    truncated products.
-    Each step reduces a product of two residues, which fits in uint64; the
-    elimination takes a per-trial pivot (the first nonzero entry at or below
-    the diagonal) and inverts it by Fermat with pow_mod.
+    Since q divides the radicand, the ring mod q is F_q[x]/(x^n) and powers
+    are truncated products; each product of two residues fits in uint64 and
+    is reduced before it is summed.
     """
     trials, n = bs.shape
     qq = np.uint64(q)
@@ -296,11 +295,22 @@ def _batched_dets(bs: np.ndarray, q: int) -> np.ndarray:
         for i in range(n):
             mats[:, k, i:] += prev[:, i : i + 1] * bs[:, : n - i] % qq
         mats[:, k] %= qq
+    return mats
+
+
+def _gf_dets(mats: np.ndarray, q: int) -> np.ndarray:
+    """Determinants mod a prime q < 2^32 of a (trials, n, n) uint64 stack of
+    reduced matrices: _gf_echelon's elimination, run on every matrix at once.
+
+    Each matrix takes its own pivot (the first nonzero entry at or below the
+    diagonal), inverted by Fermat with pow_mod; the input is overwritten.
+    """
+    trials, n, _ = mats.shape
+    qq = np.uint64(q)
     det = np.ones(trials, dtype=np.uint64)
     every = np.arange(trials)
     for c in range(n):
-        below = mats[:, c:, c] != 0
-        pivot = c + below.argmax(axis=1)  # c itself when the column is zero
+        pivot = c + (mats[:, c:, c] != 0).argmax(axis=1)  # c itself when the column is zero
         swap = pivot != c
         rows_c = mats[every, c].copy()
         mats[every, c] = mats[every, pivot]
@@ -333,11 +343,11 @@ def local_coset_check(
     Twister, so runs are reproducible bit for bit.
 
     For q < 2^32 the trials run in blocks of _COSET_BLOCK through one numpy
-    pass each (_batched_dets), under two guards that raise ConsistencyError:
-    every determinant must equal b_1^N mod q (the power matrix is triangular
-    in the x-adic filtration of F_q[x]/(x^n)), and _COSET_SPOT_CHECKS seeded
-    trials are recomputed on the scalar path.  Larger q take the scalar path
-    (_scalar_det) for every trial.
+    pass each (_power_matrices, _gf_dets), under two guards that raise
+    ConsistencyError: every determinant must equal b_1^N mod q (the power
+    matrix is triangular in the x-adic filtration of F_q[x]/(x^n)), and
+    _COSET_SPOT_CHECKS seeded trials are recomputed on the scalar path.
+    Larger q take the scalar path (_scalar_det) for every trial.
     """
     N = n * (n - 1) // 2
     if abs(m) <= 1 or not is_squarefree(m):
@@ -371,7 +381,7 @@ def local_coset_check(
             failures += sum(pow(_scalar_det(b, poly, q), exponent, q) != base_class for b in bs)
             continue
         block = np.array(bs, dtype=np.uint64)
-        dets = _batched_dets(block, q)
+        dets = _gf_dets(_power_matrices(block, q), q)
         bad = np.flatnonzero(dets != pow_mod(block[:, 1], N, q))
         if bad.size:
             raise ConsistencyError(

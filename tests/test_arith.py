@@ -255,11 +255,17 @@ def cold_prime_tables(monkeypatch):
 def test_factorize_matches_trial_division_before_and_after_the_cache_grows(cold_prime_tables):
     rng = random.Random(5)
     small = prime_sieve(3000)
+    middle = [p for p in prime_sieve(10**6) if p > 1 << 16]
     large = [1000003, 1000033, 2147483647, 4294967291, 10**12 + 39]
     for phase in ("cold", "grown"):
         if phase == "grown":
             cold_prime_tables.prime_array(3 * 10**7)
             assert cold_prime_tables._prime_cache_limit >= 3 * 10**7
+        for _ in range(100):
+            # below 10^12 a missed divisor would pass for a prime cofactor;
+            # the first one needs the trial list beyond its first 2^16
+            p, q = sorted(rng.sample(middle, 2))
+            assert factorize(p * q).factors == ((p, 1), (q, 1)), (phase, p, q)
         for _ in range(150):
             x = rng.randrange(2, 10**8)
             assert factorize(x).factors == _trial_division(x), (phase, x)

@@ -139,6 +139,25 @@ def test_exceptional_scan_sample_guard(monkeypatch):
         exceptional_scan(4, 2000, [100, 500, 2000])
 
 
+def test_exceptional_scan_confirms_classes_before_scanning(monkeypatch):
+    import eosieve.purefield as purefield
+
+    formula = purefield._closed_form
+    monkeypatch.setattr(purefield, "_confirmed", set())
+    # g_2 of the classes 1 and 5 mod 8 swapped at n = 4 in the closed form
+    monkeypatch.setattr(
+        purefield,
+        "_closed_form",
+        lambda n, p, r: formula(n, p, 6 - r if (n, p) == (4, 2) and r in (1, 5) else r),
+    )
+    purefield._local_index_table.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="saturation of m = "):
+            exceptional_scan(4, 2000, [100, 500, 2000])
+    finally:
+        purefield._local_index_table.cache_clear()
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_exceptional_members_match_certificates(n):
     rep = exceptional_scan(n, 3000, [100, 1000, 3000])
@@ -168,6 +187,7 @@ def test_exceptional_scan_saturates_once_per_class_plus_the_sample(monkeypatch):
     monkeypatch.setattr(experiments, "equation_order_index", counting)
     exceptional_scan(13, 300, [50, 100, 300])
     classes = 13**2 - 1  # residues mod 13^2 that hold a squarefree radicand
+    assert purefield._confirmed == {(13, 13, r) for r in range(1, 13**2)}
     assert len(calls) <= classes + 16
     calls.clear()
     exceptional_scan(13, 300, [50, 100, 300])  # every class is confirmed already

@@ -10,7 +10,7 @@ from eosieve.errors import AmbiguousSnapError, ConsistencyError
 from eosieve.obstruction import (
     _COSET_BLOCK,
     KummerData,
-    _batched_dets,
+    _gf_dets,
     _pg_candidates,
     ObstructionCertificate,
     obstruction_certificate,
@@ -20,6 +20,7 @@ from eosieve.obstruction import (
     kummer_data,
     local_coset_check,
     minus_one_residue_check,
+    _power_matrices,
     _scalar_det,
 )
 from eosieve.orders import _gf_echelon, _poly_mul, _reduce_mod_poly
@@ -266,16 +267,32 @@ def _reference_failures(n, m, q, trials, seed, uniformizer_only):
     "n, m, q",
     [(2, 6, 2), (3, 10, 5), (4, 13, 13), (6, -35, 7), (7, 22, 11), (9, 26, 13), (4, 4294967291, 4294967291)],
 )
-def test_batched_dets_match_gf_echelon(n, m, q):
+def test_power_matrix_dets_match_gf_echelon(n, m, q):
     rng = random.Random(f"{n}:{m}:{q}")
     bs = [[rng.randrange(q) for _ in range(n)] for _ in range(300)]
     bs += [[rng.randrange(q)] + [0] * (n - 1) for _ in range(5)]  # rank 1
     bs += [[0, 0] + [rng.randrange(q) for _ in range(n - 2)] for _ in range(5)]  # b_1 = 0
-    dets = _batched_dets(np.array(bs, dtype=np.uint64), q)
+    dets = _gf_dets(_power_matrices(np.array(bs, dtype=np.uint64), q), q)
     poly = pure_poly(n, m)
     for b, det in zip(bs, dets.tolist()):
         assert det == _scalar_det(b, poly, q), b
         assert det == pow(b[1], n * (n - 1) // 2, q), b
+
+
+@pytest.mark.parametrize("q", [2, 3, 13, 4294967291])
+def test_gf_dets_match_gf_echelon_on_arbitrary_matrices(q):
+    # sparse matrices and permuted identities need row swaps, which power
+    # matrices of local generators never do
+    rng = random.Random(q)
+    for n in range(1, 8):
+        mats = []
+        for _ in range(60):
+            mats.append([[rng.randrange(q) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(n)])
+        for _ in range(10):
+            perm = rng.sample(range(n), n)
+            mats.append([[rng.randrange(1, q) if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+        dets = _gf_dets(np.array(mats, dtype=np.uint64), q)
+        assert dets.tolist() == [_gf_echelon(a, q)[2] for a in mats], (q, n)
 
 
 @pytest.mark.parametrize(
@@ -308,14 +325,14 @@ def test_local_coset_negative_control_is_pinned(n, m, q, seed, failures):
 def test_local_coset_identity_guard_catches_a_bad_eliminator(monkeypatch):
     import eosieve.obstruction as obstruction
 
-    eliminate = obstruction._batched_dets
+    eliminate = obstruction._gf_dets
 
-    def off_by_one(bs, q):
-        dets = eliminate(bs, q)
+    def off_by_one(mats, q):
+        dets = eliminate(mats, q)
         dets[-1] = (dets[-1] + 1) % q
         return dets
 
-    monkeypatch.setattr(obstruction, "_batched_dets", off_by_one)
+    monkeypatch.setattr(obstruction, "_gf_dets", off_by_one)
     with pytest.raises(ConsistencyError, match="b_1\\^N"):
         local_coset_check(4, 13, 13, trials=50, seed=0)
 
