@@ -524,15 +524,12 @@ def _saturation_round(order: EquationOrder, p: int) -> EquationOrder:
     kernel = _gf_nullspace(flat, p)
     if not kernel:
         return order
-    u_rows = _hnf(
-        [list(v) for v in kernel] + [[p if i == j else 0 for j in range(n)] for i in range(n)],
-        n,
-    )
-    numer = [
-        [sum(u_rows[i][k] * order.basis_numerators[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
+    # new order: pO plus the kernel combinations of the basis, over p (from_basis: HNF)
+    basis = order.basis_numerators
+    rows = [[p * x for x in row] for row in basis] + [
+        [sum(v[k] * basis[k][j] for k in range(n)) for j in range(n)] for v in kernel
     ]
-    return EquationOrder.from_basis(order.poly, numer, p * order.denominator)
+    return EquationOrder.from_basis(order.poly, rows, p * order.denominator)
 
 
 def p_saturate(order: EquationOrder, p: int) -> EquationOrder:

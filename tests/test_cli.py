@@ -9,6 +9,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from eosieve import cli
 from eosieve.cli import main
 
 
@@ -181,9 +182,36 @@ def test_pset_csv_is_the_same_on_stdout_and_in_the_out_file(capsys, tmp_path):
     rc, out = _run(capsys, argv)
     assert rc == 0
     primes = enumerate_Pg(4, 6, 10**6)
-    assert len(primes) > 3 * 4096  # written in several chunks
+    assert len(primes) > 3 * 4096  # many rows, streamed one at a time
     assert out == "".join(f"{q}\n" for q in primes)
     target = tmp_path / "pset.csv"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert target.read_bytes() == out.encode()
+
+
+def test_csv_cells_are_written_as_str_writes_them(capsys, monkeypatch, tmp_path):
+    rows = [
+        ("g", "count"),
+        (-7, 2**64 + 1, -(2**70) - 3),
+        (0.1, 1 / 3, 1e22, -1.5e-300),
+        (float("nan"), float("inf"), float("-inf")),
+        (True, False),
+    ]
+    monkeypatch.setitem(cli.RUNNERS, "pset", lambda args: ({}, {}, iter(rows)))
+    expected = "".join(",".join(map(str, r)) + "\n" for r in rows)
+    rc, out = _run(capsys, ["pset", "4", "6"])
+    assert rc == 0
+    assert out == expected
+    target = tmp_path / "cells.csv"
+    assert main(["pset", "4", "6", "--out", str(target)]) == 0
+    assert target.read_bytes() == expected.encode()
+
+
+def test_json_report_is_the_same_on_stdout_and_in_the_out_file(capsys, tmp_path):
+    argv = ["coset", "4", "13", "13", "--trials", "50"]
+    rc, out = _run(capsys, argv)
+    assert rc == 0
+    target = tmp_path / "coset.json"
     assert main(argv + ["--out", str(target)]) == 0
     assert target.read_bytes() == out.encode()
 

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eosieve.errors import ContainmentError, EnumerationLimitError, NotClosedError
 from eosieve.orders import (
     EquationOrder,
     MonicPolynomial,
+    _hnf,
     equation_order_index,
     index_form_value,
     multiplication_table,
@@ -281,3 +284,34 @@ def test_from_basis_rejects_bad_lattices():
     with pytest.raises(ValueError):
         # does not contain 1 primitively
         EquationOrder.from_basis(X4_13, ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), 4)
+
+
+@st.composite
+def _generating_rows(draw):
+    """Full-rank rows over a denominator d that hold d*e_0 primitively, plus
+    redundant integer combinations of them, shuffled."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    d = draw(st.integers(min_value=1, max_value=12))
+    entry = st.integers(min_value=-30, max_value=30)
+    base = [[d] + [0] * (n - 1)]
+    for i in range(1, n):
+        lower = [draw(entry) for _ in range(i)]
+        pivot = draw(st.integers(min_value=1, max_value=12))
+        base.append(lower + [pivot] + [0] * (n - i - 1))
+    coeff = st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n)
+    extra = [
+        [sum(c * row[j] for c, row in zip(cs, base)) for j in range(n)]
+        for cs in draw(st.lists(coeff, max_size=2 * n))
+    ]
+    return n, d, draw(st.permutations(base + extra))
+
+
+@given(_generating_rows())
+@settings(max_examples=200, deadline=None)
+def test_from_basis_takes_the_hermite_form_itself(case):
+    # the saturation round hands from_basis its generating rows unreduced
+    n, d, rows = case
+    poly = pure_poly(n, 2)
+    assert EquationOrder.from_basis(poly, rows, d) == EquationOrder.from_basis(
+        poly, _hnf(rows, n), d
+    )
