@@ -6,6 +6,14 @@ trial bound, and the usual modular helpers.  All functions are pure; the
 prime table and the list of trial divisors drawn from it are grown
 monotonically and never mutated in place, so they are safe to share across
 threads and processes.
+
+Primes come from one segmented sieve (Bays and Hudson, BIT 1977):
+_sieve_progression returns the primes of a progression a mod M inside a
+window of its terms, striking with base primes up to the square root of the
+window's top taken from the prime table.  The table grows in doubling
+steps, window by window over the odd progression; range scans sieve their
+own progressions (1 mod 2N for the obstruction primes) window by window and
+never hold more than one window of a range.
 """
 
 from __future__ import annotations
@@ -39,6 +47,10 @@ __all__ = [
 # provably prime (directly or as a small perfect power) or we refuse.
 _TRIAL_LIMIT = 10**6
 
+# The range layer works in windows of this many consecutive terms (of a
+# progression, or of the integers), so its memory does not grow with the range.
+_WINDOW = 1 << 22
+
 _prime_cache = np.empty(0, dtype=np.int64)
 _prime_cache_limit = 1
 
@@ -50,17 +62,67 @@ _prime_cache_limit = 1
 _trial: tuple[int, list[int]] = (1, [])
 
 
+def _windows(start: int, stop: int):
+    """Consecutive half-open windows [lo, hi) of at most _WINDOW covering [start, stop)."""
+    for lo in range(start, stop, _WINDOW):
+        yield lo, min(lo + _WINDOW, stop)
+
+
+def _sieve_progression(a: int, M: int, k0: int, k1: int) -> np.ndarray:
+    """The primes a + M*k for k0 <= k < k1, as an ascending int64 array.
+
+    Requires 0 <= a < M and gcd(a, M) = 1.  Each base prime p <= sqrt(top)
+    not dividing M strikes the terms divisible by p from p^2 on, so a base
+    prime that lies in the progression is kept; base primes dividing M
+    divide no term and strike nothing.  The term 1 is not prime.
+    """
+    if k1 <= k0:
+        return np.empty(0, dtype=np.int64)
+    is_prime = np.ones(k1 - k0, dtype=bool)
+    if k0 == 0 and a < 2:
+        is_prime[0] = False
+    ps = prime_array(math.isqrt(a + M * (k1 - 1)))
+    ps = ps[M % ps != 0]
+    # a + M*k = 0 mod p  <=>  k = -a / M mod p; start at p^2 or at k0
+    roots = (-a % ps) * pow_mod(M % ps, ps - 2, ps).astype(np.int64) % ps
+    first = np.maximum(k0, -((a - ps * ps) // M))
+    first += (roots - first) % ps
+    for k, p in zip((first - k0).tolist(), ps.tolist()):
+        is_prime[k::p] = False
+    return a + M * (k0 + np.flatnonzero(is_prime))
+
+
+def _progression_primes(a: int, M: int, lo: int, hi: int):
+    """The primes q = a mod M with lo <= q < hi, ascending, one int64 array
+    per window of at most _WINDOW terms of the progression."""
+    k0 = max(0, -((a - lo) // M))
+    k1 = max(k0, -((a - hi) // M))
+    for w0, w1 in _windows(k0, k1):
+        yield _sieve_progression(a, M, w0, w1)
+
+
+def _prime_windows(lo: int, hi: int):
+    """The primes in [lo, hi), ascending, window by window: 2 on its own,
+    then the odd primes (the progression 1 mod 2)."""
+    if lo <= 2 < hi:
+        yield np.array([2], dtype=np.int64)
+    yield from _progression_primes(1, 2, lo, hi)
+
+
 def _ensure_primes(limit: int) -> None:
+    """Grow the prime table to cover limit, at least doubling it.
+
+    The new primes come window by window from the odd progression; its
+    base primes are read from the table itself, grown first when sqrt(limit)
+    exceeds it, so a cold start recurses down through square roots.
+    """
     global _prime_cache, _prime_cache_limit
     if limit <= _prime_cache_limit:
         return
-    limit = max(limit, 2 * _prime_cache_limit, 1 << 16)
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    primes = np.flatnonzero(sieve).astype(np.int64)
+    limit = max(limit, 2 * _prime_cache_limit)
+    primes = np.concatenate(
+        [_prime_cache, *_prime_windows(_prime_cache_limit + 1, limit + 1)]
+    )
     primes.setflags(write=False)
     _prime_cache = primes
     _prime_cache_limit = limit
@@ -233,7 +295,7 @@ def pow_mod(base, exp, modulus) -> np.ndarray:
     residues fits in uint64.
     """
     base, exp, modulus = np.broadcast_arrays(
-        *(np.array(a, dtype=np.uint64, ndmin=1) for a in (base, exp, modulus))
+        *(np.array(a, dtype=np.uint64, ndmin=1, copy=None) for a in (base, exp, modulus))
     )
     if modulus.size and (modulus.min() < 1 or modulus.max() >= 1 << 32):
         raise ValueError("pow_mod requires every modulus in [1, 2^32)")

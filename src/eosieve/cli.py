@@ -3,11 +3,12 @@
 Subcommands wrap the library operations one to one and emit deterministic
 JSON or CSV reports that embed the input parameters and library version.
 Each leaf subcommand has one runner in RUNNERS that returns the report's
-params, its fields and its CSV rows (an iterable, or None for JSON-only
-commands); one handler builds the envelope and writes the report, CSV
-through ``csv.writer`` as the rows arrive.  A runner resolves only the
-settings it reads, each from its flag, then its EOS_-prefixed environment
-variable, then its default.
+params, its fields (a dict, or a function that builds it when only the
+JSON report needs the work) and its CSV rows (an iterable, or None for
+JSON-only commands); one handler builds the envelope and writes the
+report, CSV through ``csv.writer`` as the rows arrive.  A runner resolves
+only the settings it reads, each from its flag, then its EOS_-prefixed
+environment variable, then its default.
 Exit codes: 0 success, 2 usage or precondition violation, 3 internal
 consistency failure.
 """
@@ -45,7 +46,7 @@ from .families import (
     trinomial_monogenic_check,
     twist_index_check,
 )
-from .obstruction import _certificate, enumerate_Pg, estimate_delta, local_coset_check
+from .obstruction import _certificate, _pg_candidates, estimate_delta, local_coset_check
 from .purefield import pure_index
 
 ENV_PREFIX = "EOS_"
@@ -118,9 +119,10 @@ def _run_invariants(args):
 
 def _run_pset(args):
     limit = _setting(args, "limit", 1000)
-    primes = enumerate_Pg(args.g, args.N, limit)
+    windows = _pg_candidates(args.g, args.N, limit)  # checks the arguments
     params = {"g": args.g, "N": args.N, "limit": limit}
-    return params, {"primes": primes}, ((q,) for q in primes)
+    rows = ((q,) for _, pg in windows for q in pg.tolist())
+    return params, lambda: {"primes": [q for (q,) in rows]}, rows
 
 
 def _run_density(args):
@@ -359,6 +361,8 @@ def _run(args) -> int:
         report = {"command": args.command, "version": __version__, "params": params}
         if name:
             report["name"] = name
+        if callable(fields):
+            fields = fields()
         text = json.dumps(report | fields, sort_keys=True, indent=2) + "\n"
     with (
         open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)

@@ -2,8 +2,14 @@
 
 Counts are exact: squarefree status, the power-order criterion and the
 index g(m) are read off residue tables and quadratic sieves, P-freeness is
-decided by marking multiples of the obstruction primes over the whole range,
-and the only floating point enters in the final density ratios and fits.
+decided by marking multiples of the obstruction primes, and the only
+floating point enters in the final density ratios and fits.  Range scans
+run window by window (arith._WINDOW integers at a time): the squarefree
+mask strikes prime squares inside the window, the criterion and index masks
+are the window's slice of a pattern built over one period, P-freeness
+strikes the multiples of the obstruction primes inside the window, and the
+per-window counts at the checkpoints are added up.  Memory does not grow
+with the range beyond the obstruction primes themselves.
 The index tables hold the closed-form local index at each p | n over
 m mod p^(v_p(n)+1); they are guarded by the congruence criterion, by one
 saturation per residue class (once per process), and by a seeded sample of
@@ -14,14 +20,14 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import prime_array, prime_divisors
+from . import arith
+from .arith import _windows, prime_array, prime_divisors
 from .errors import ConsistencyError
-from .obstruction import enumerate_Pg
+from .obstruction import _pg_array
 from .orders import equation_order_index
 from .purefield import _criterion_holds, _local_index, _local_index_table, pure_poly
 
@@ -127,44 +133,120 @@ def _validate_checkpoints(xs, x_max: int) -> tuple[int, ...]:
     return xs
 
 
-def _squarefree_mask(x_max: int) -> np.ndarray:
-    """mask[k] says |m| = k is admissible: k >= 2 and squarefree."""
-    mask = np.ones(x_max + 1, dtype=bool)
-    mask[:2] = False
-    for p in prime_array(math.isqrt(x_max)).tolist():
-        mask[p * p :: p * p] = False
+def _count_upto(sorted_ints: np.ndarray, keys) -> np.ndarray:
+    """How many entries of the ascending integer array are <= each key.
+
+    The keys are clamped into the array's dtype, which changes no count: a
+    key of a wider dtype would make numpy convert the whole array per call.
+    """
+    info = np.iinfo(sorted_ints.dtype)
+    keys = np.clip(keys, info.min, info.max).astype(sorted_ints.dtype)
+    return np.searchsorted(sorted_ints, keys, side="right")
+
+
+def _strike(mask: np.ndarray, lo: int, moduli: np.ndarray) -> None:
+    """Clear mask[k - lo] at every positive multiple k of the ascending moduli
+    inside the window lo <= k < lo + len(mask).
+
+    Each modulus below arith._WINDOW is struck with one slice.  A larger
+    modulus has at most one multiple in a window, so those are struck
+    together, one multiplier j at a time: j * d lies in the window exactly
+    when d lies in [lo/j, hi/j), a slice of the ascending moduli.
+    """
+    hi = lo + len(mask)
+    split = _count_upto(moduli, [arith._WINDOW - 1])[0]
+    small = moduli[:split].astype(np.int64)
+    starts = np.maximum(-(-lo // small), 1) * small
+    for k, d in zip((starts - lo).tolist(), small.tolist()):
+        mask[k::d] = False
+    large = moduli[split:]
+    for j in range(1, (hi - 1) // arith._WINDOW + 1):
+        a, b = _count_upto(large, [max(lo - 1, 0) // j, (hi - 1) // j])
+        mask[j * large[a:b].astype(np.int64) - lo] = False
+
+
+def _squarefree_window(lo: int, hi: int) -> np.ndarray:
+    """mask[k - lo] says |m| = k is admissible (k >= 2 and squarefree), lo <= k < hi."""
+    mask = np.ones(hi - lo, dtype=bool)
+    mask[: max(0, 2 - lo)] = False
+    ps = prime_array(math.isqrt(hi - 1))
+    _strike(mask, lo, ps * ps)
     return mask
 
 
-def _periodic(tables, x_max: int, sign: int, combine) -> np.ndarray:
-    """The ufunc combine (np.logical_and, np.multiply) applied across the
-    tables to t[(sign * k) % len(t)], for 0 <= k <= x_max.
+def _pfree_window(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """free[k - lo] says k >= 1 has no divisor among the ascending primes, lo <= k < hi."""
+    free = np.ones(hi - lo, dtype=bool)
+    free[: max(0, 1 - lo)] = False
+    _strike(free, lo, primes[: _count_upto(primes, [hi - 1])[0]])
+    return free
 
-    The result is periodic with period prod(len(t)), so it is built over one
-    period (or the whole range, if that is shorter) and tiled.
+
+def _periodic(tables, x_max: int, sign: int, combine) -> np.ndarray:
+    """One period of the ufunc combine (np.logical_and, np.multiply) applied
+    across the tables to t[(sign * k) % len(t)], from k = 0.
+
+    The period is prod(len(t)); it is cut at x_max + 1 if the range is
+    shorter.  _tile lays it over a window.
     """
     period = min(math.prod(len(t) for t in tables), x_max + 1)
     r = sign * np.arange(period)
     pattern = np.full(period, combine.identity)
     for t in tables:
         pattern = combine(pattern, t[r % len(t)])
-    return np.tile(pattern, x_max // period + 1)[: x_max + 1]
+    return pattern
 
 
-def _criterion_masks(n: int, x_max: int, sf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks over |m| for the power-order criterion, per sign.
+def _tile(pattern: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The periodic pattern over lo <= k < hi (within the range it was built for)."""
+    reps = -(-(hi - lo) // len(pattern))
+    return np.tile(np.roll(pattern, -lo), reps)[: hi - lo]
+
+
+def _criterion_table(p: int) -> np.ndarray:
+    """table[r] = _criterion_holds(r, p) for the residues r mod p^2."""
+    return np.array([_criterion_holds(r, p) for r in range(p * p)], dtype=bool)
+
+
+def _criterion_patterns(n: int, x_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """One period of the power-order criterion over |m|, for m > 0 and m < 0.
 
     The criterion at p | n depends on m mod p^2 only, so it is tabulated once
-    per residue and laid periodically over the range.
+    per residue; squarefreeness is not part of the pattern.
     """
-    tables = [
-        np.array([_criterion_holds(r, p) for r in range(p * p)], dtype=bool)
-        for p in prime_divisors(n)
-    ]
+    tables = [_criterion_table(p) for p in prime_divisors(n)]
     pos, neg = (_periodic(tables, x_max, sign, np.logical_and) for sign in (1, -1))
-    pos &= sf
-    neg &= sf
     return pos, neg
+
+
+def _window_counts(mask: np.ndarray, lo: int, xs: tuple[int, ...]) -> np.ndarray:
+    """For each checkpoint x, the set entries of the window mask at k <= x."""
+    hi = lo + len(mask)
+    a, b = np.searchsorted(xs, [lo, hi])
+    counts = np.zeros(len(xs), dtype=np.int64)
+    counts[a:b] = [np.count_nonzero(mask[: x + 1 - lo]) for x in xs[a:b]]
+    counts[b:] = np.count_nonzero(mask)
+    return counts
+
+
+def _fold_counts(xs: tuple[int, ...], window_counts) -> tuple[int, ...]:
+    """Checkpoint counts over 0 <= k <= xs[-1], the sum of window_counts(lo, hi)
+    over the windows.  Windows merge by addition, in any grouping."""
+    total = np.zeros(len(xs), dtype=np.int64)
+    for lo, hi in _windows(0, xs[-1] + 1):
+        total += window_counts(lo, hi)
+    return tuple(total.tolist())
+
+
+def _admissible_counts(patterns, xs: tuple[int, ...]) -> tuple[int, ...]:
+    """Checkpoint counts of the squarefree k >= 2 at which a pattern holds,
+    summed over the patterns (one per sign of m)."""
+
+    def window_counts(lo, hi):
+        sf = _squarefree_window(lo, hi)
+        return sum(_window_counts(sf & _tile(p, lo, hi), lo, xs) for p in patterns)
+
+    return _fold_counts(xs, window_counts)
 
 
 def alpha_density_target(n: int) -> float:
@@ -182,11 +264,7 @@ def alpha_density(n: int, x_max: int, checkpoints) -> AlphaDensityReport:
     and satisfying the congruence criterion; densities are counts / (2X).
     """
     xs = _validate_checkpoints(checkpoints, x_max)
-    sf = _squarefree_mask(x_max)
-    pos, neg = _criterion_masks(n, x_max, sf)
-    counts = tuple(
-        int(np.count_nonzero(pos[: x + 1]) + np.count_nonzero(neg[: x + 1])) for x in xs
-    )
+    counts = _admissible_counts(_criterion_patterns(n, x_max), xs)
     cp = Checkpoints(xs=xs, counts=counts, label=f"alpha-monogenic n={n}")
     densities = tuple(c / (2 * x) for c, x in zip(counts, xs))
     return AlphaDensityReport(n=n, checkpoints=cp, densities=densities, target=alpha_density_target(n))
@@ -194,39 +272,29 @@ def alpha_density(n: int, x_max: int, checkpoints) -> AlphaDensityReport:
 
 def count_squarefree_not_1_mod_4(x_max: int) -> int:
     """#{m : 2 <= |m| <= x_max, m squarefree, m != 1 mod 4}, both signs."""
-    sf = _squarefree_mask(x_max)
     not_1_mod_4 = [np.array([True, False, True, True])]
-    return sum(
-        int(np.count_nonzero(sf & _periodic(not_1_mod_4, x_max, sign, np.logical_and)))
-        for sign in (1, -1)
-    )
-
-
-def _pfree_mask(primes, x_max: int) -> np.ndarray:
-    """free[k] says 1 <= k <= x_max has no divisor among the given primes."""
-    free = np.ones(x_max + 1, dtype=bool)
-    free[0] = False
-    for q in primes:
-        free[q::q] = False
-    return free
+    patterns = [_periodic(not_1_mod_4, x_max, sign, np.logical_and) for sign in (1, -1)]
+    return _admissible_counts(patterns, (x_max,))[0]
 
 
 def pfree_counts_for_primes(primes, x_max: int, checkpoints, label: str) -> Checkpoints:
     """Counts of 1 <= m <= X untouched by the given primes, by multiple-marking."""
     xs = _validate_checkpoints(checkpoints, x_max)
-    free = _pfree_mask(primes, x_max)
-    counts = tuple(int(np.count_nonzero(free[: x + 1])) for x in xs)
+    if not isinstance(primes, np.ndarray):
+        primes = np.array(list(primes), dtype=np.int64)
+    primes = np.sort(primes)
+    counts = _fold_counts(xs, lambda lo, hi: _window_counts(_pfree_window(primes, lo, hi), lo, xs))
     return Checkpoints(xs=xs, counts=counts, label=label)
 
 
 def pg_free_counts(g: int, N: int, x_max: int, checkpoints) -> Checkpoints:
     """Counts of 1 <= m <= X with no prime factor in P_g.
 
-    Freeness is decided by one pass marking multiples of every obstruction
-    prime up to x_max, not by factoring individual integers.
+    Freeness is decided by marking, window by window, the multiples of every
+    obstruction prime up to x_max, not by factoring individual integers.
     """
     xs = _validate_checkpoints(checkpoints, x_max)  # before enumerating P_g up to x_max
-    return pfree_counts_for_primes(enumerate_Pg(g, N, x_max), x_max, xs, f"P_{g}-free (N={N})")
+    return pfree_counts_for_primes(_pg_array(g, N, x_max), x_max, xs, f"P_{g}-free (N={N})")
 
 
 def pfree_count_inclusion_exclusion(primes, x: int) -> int:
@@ -272,11 +340,9 @@ def mertens_sum(g: int, N: int, x_max: int, checkpoints) -> MertensReport:
     sum to the nearest double.
     """
     xs = _validate_checkpoints(checkpoints, x_max)
-    pg = enumerate_Pg(g, N, x_max)
-    sums = []
-    for x in xs:
-        hi = bisect_right(pg, x)
-        sums.append(math.fsum(1.0 / q for q in pg[:hi]))
+    pg = _pg_array(g, N, x_max)
+    # float64 division of q < 2^53 rounds exactly as Python's 1.0 / q
+    sums = [math.fsum(1.0 / pg[:hi]) for hi in _count_upto(pg, xs)]
     u = np.log(np.log(np.array(xs, dtype=float)))
     slope, intercept = np.polyfit(u, np.array(sums), 1)
     return MertensReport(
@@ -320,7 +386,7 @@ def exceptional_scan(n: int, x_max: int, checkpoints) -> ExceptionalScanReport:
     x_max touches |m|.
     """
     xs = _validate_checkpoints(checkpoints, x_max)
-    sf = _squarefree_mask(x_max)
+    sf = _squarefree_window(0, x_max + 1)
     tables = []
     for p in prime_divisors(n):
         table = _local_index_table(n, p)
@@ -332,7 +398,7 @@ def exceptional_scan(n: int, x_max: int, checkpoints) -> ExceptionalScanReport:
     signed_ms = []
     signed_gs = []
     for sign in (1, -1):
-        g = _periodic(tables, x_max, sign, np.multiply)
+        g = _tile(_periodic(tables, x_max, sign, np.multiply), 0, x_max + 1)
         keep = sf & (g > 1)
         signed_ms.append(sign * np.flatnonzero(keep))
         signed_gs.append(g[keep])
@@ -347,7 +413,7 @@ def exceptional_scan(n: int, x_max: int, checkpoints) -> ExceptionalScanReport:
     members: list[tuple[int, int, bool]] = []
     for g in np.unique(gs).tolist():
         lo, hi = np.searchsorted(gs, [g, g + 1])
-        flags = _pfree_mask(enumerate_Pg(g, N, x_max), x_max)[abs_ms[lo:hi]]
+        flags = _pfree_window(_pg_array(g, N, x_max), 0, x_max + 1)[abs_ms[lo:hi]]
         members.extend((g, m, f) for m, f in zip(ms[lo:hi].tolist(), flags.tolist()))
         free_prefix = np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
         totals = np.searchsorted(abs_ms[lo:hi], xs, side="right")

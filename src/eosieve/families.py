@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, is_squarefree, pow_mod, prime_array, prime_divisors
+from .arith import _prime_windows, factorize, is_squarefree, prime_array, prime_divisors
 from .errors import ConsistencyError, FactorizationError
+from .experiments import _criterion_table
 from .obstruction import kummer_data
 from .orders import (
     EquationOrder,
@@ -308,15 +309,20 @@ def thin_family_check(n: int, c: int, q: int) -> ThinFamilyReport:
 
 
 def thin_member_density(n: int, c: int, limit: int) -> tuple[int, int, float]:
-    """(members, primes, ratio) among primes up to limit."""
+    """(members, primes, ratio) among primes up to limit, counted window by window."""
     if n < 4 or c < 2:
         raise ValueError("requires n >= 4 and c >= 2")
-    qs = prime_array(limit)
-    keep = (c * n) % qs != 0
-    for p in prime_divisors(n):
-        keep &= pow_mod(qs % (p * p), p - 1, p * p) != 1
-    members = int(keep.sum())
-    return members, len(qs), members / len(qs) if len(qs) else float("nan")
+    # for q not dividing p, q^(p-1) != 1 mod p^2 exactly when the power-order
+    # criterion holds at q mod p^2
+    tables = [_criterion_table(p) for p in prime_divisors(n)]
+    members = primes = 0
+    for qs in _prime_windows(2, limit + 1):
+        keep = (c * n) % qs != 0
+        for t in tables:
+            keep &= t[qs % len(t)]
+        members += int(np.count_nonzero(keep))
+        primes += len(qs)
+    return members, primes, members / primes if primes else float("nan")
 
 
 def scaled_family_scan(

@@ -21,11 +21,11 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import (
+    _progression_primes,
     euler_phi,
     is_nth_power_residue,
     is_probable_prime,
     perfect_power_decompose,
-    prime_array,
     prime_divisors,
     squarefree_kernel,
     is_squarefree,
@@ -162,21 +162,37 @@ def in_Pg(q: int, g: int, N: int) -> bool:
     return not is_nth_power_residue(g, N, q)
 
 
-def _pg_candidates(g: int, N: int, limit: int) -> tuple[list[int], list[int]]:
-    """Candidate primes for P_g up to limit, and the members of P_g among them.
+def _pg_candidates(g: int, N: int, limit: int):
+    """Candidate primes for P_g up to limit, and the members of P_g among them,
+    one window of the progression 1 mod 2N at a time.
 
     Candidates are the primes q = 1 mod 2N not dividing 2Ng; a candidate is
-    in P_g when g^((q-1)/N) != 1 mod q.  Both lists ascend.  The residue
-    test is one pow_mod pass over all candidates, with g reduced mod each q
-    by Horner's rule over its 31-bit limbs; 16 seeded candidates are
-    recomputed with Python's pow, and a mismatch raises ConsistencyError.
+    in P_g when g^((q-1)/N) != 1 mod q.  The arguments are checked here, before
+    any sieving; the returned iterator yields, per window, the number of
+    candidates and the members as an ascending int64 array.
     """
+    if g < 2 or N < 2:
+        raise ValueError("requires g >= 2 and N >= 2")
     if limit >= 1 << 32:
         raise ValueError("limit must be below 2^32")
     if 2 * N >= limit:  # every candidate is at least 2N + 1
-        return [], []
-    primes = prime_array(limit)
-    qs = primes[primes % (2 * N) == 1].astype(np.uint64)
+        return iter(())
+    rng = random.Random(f"{g}:{N}:{limit}")
+    return (
+        _pg_window(g, N, qs, rng)
+        for qs in _progression_primes(1, 2 * N, 2 * N + 1, limit + 1)
+    )
+
+
+def _pg_window(g: int, N: int, qs: np.ndarray, rng: random.Random) -> tuple[int, np.ndarray]:
+    """The candidate count and the P_g members among the primes qs = 1 mod 2N.
+
+    The residue test is one pow_mod pass over the window, with g reduced mod
+    each q by Horner's rule over its 31-bit limbs; 16 candidates drawn with
+    rng (all, if fewer) are recomputed with Python's pow, and a mismatch
+    raises ConsistencyError.
+    """
+    qs = qs.astype(np.uint64)
     g_mod = np.zeros_like(qs)
     for shift in range(31 * ((g.bit_length() - 1) // 31), -1, -31):
         limb = np.uint64((g >> shift) & ((1 << 31) - 1))
@@ -184,20 +200,26 @@ def _pg_candidates(g: int, N: int, limit: int) -> tuple[list[int], list[int]]:
     qs = qs[g_mod != 0]  # q > 2N, so q | 2Ng exactly when q | g
     g_mod = g_mod[g_mod != 0]
     residues = pow_mod(g_mod, (qs - np.uint64(1)) // np.uint64(N), qs)
-    candidates = qs.tolist()
-    rng = random.Random(f"{g}:{N}:{limit}")
-    for i in rng.sample(range(len(candidates)), min(16, len(candidates))):
-        q = candidates[i]
+    for i in rng.sample(range(len(qs)), min(16, len(qs))):
+        q = int(qs[i])
         if int(residues[i]) != pow(g % q, (q - 1) // N, q):
             raise ConsistencyError(f"pow_mod gives {residues[i]} for g={g}, N={N}, q={q}")
-    return candidates, qs[residues != 1].tolist()
+    return len(qs), qs[residues != 1].astype(np.int64)
+
+
+def _pg_array(g: int, N: int, limit: int) -> np.ndarray:
+    """P_g up to limit as one ascending uint32 array.
+
+    Its members lie below 2^32, and half the bytes of int64 keep P_g to
+    34 MB at limit = 10^9.
+    """
+    members = [pg.astype(np.uint32) for _, pg in _pg_candidates(g, N, limit)]
+    return np.concatenate([np.empty(0, dtype=np.uint32), *members])
 
 
 def enumerate_Pg(g: int, N: int, limit: int) -> list[int]:
     """All primes q <= limit with in_Pg(q, g, N), ascending."""
-    if g < 2 or N < 2:
-        raise ValueError("requires g >= 2 and N >= 2")
-    return _pg_candidates(g, N, limit)[1]
+    return _pg_array(g, N, limit).tolist()
 
 
 def estimate_delta(g: int, N: int, prime_budget: int) -> KummerData:
@@ -214,9 +236,10 @@ def estimate_delta(g: int, N: int, prime_budget: int) -> KummerData:
     kd = kummer_data(g, N)
     if not kd.nontrivial:
         raise ValueError(f"Kummer class of g={g} at N={N} is trivial; delta is not defined")
-    candidates, pg = _pg_candidates(g, N, prime_budget)
-    count = len(candidates)
-    hits = count - len(pg)
+    count = hits = 0
+    for candidates, pg in _pg_candidates(g, N, prime_budget):
+        count += candidates
+        hits += candidates - len(pg)
     if count == 0:
         raise ValueError("no usable primes under the budget")
     phi_hat = hits / count

@@ -7,8 +7,9 @@ from eosieve.arith import is_squarefree
 from eosieve.errors import ConsistencyError
 from eosieve.experiments import (
     Checkpoints,
-    _criterion_masks,
-    _squarefree_mask,
+    _criterion_patterns,
+    _squarefree_window,
+    _tile,
     alpha_density,
     alpha_density_target,
     count_squarefree_not_1_mod_4,
@@ -36,10 +37,10 @@ def test_checkpoints_validation():
 def test_pg_free_counts_checks_the_ladder_before_enumerating(monkeypatch):
     import eosieve.experiments as experiments
 
-    def enumerate_pg(*args):
+    def pg_array(*args):
         raise AssertionError("P_g enumerated before the ladder was checked")
 
-    monkeypatch.setattr(experiments, "enumerate_Pg", enumerate_pg)
+    monkeypatch.setattr(experiments, "_pg_array", pg_array)
     with pytest.raises(ValueError, match="ascending"):
         pg_free_counts(4, 6, 10**12, [5, 3, 10**12])
 
@@ -70,7 +71,8 @@ def test_alpha_density_small_scale():
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 30, 210])
 def test_criterion_masks_match_alpha_monogenic(n):
     x_max = 2000
-    pos, neg = _criterion_masks(n, x_max, _squarefree_mask(x_max))
+    sf = _squarefree_window(0, x_max + 1)
+    pos, neg = (sf & _tile(p, 0, x_max + 1) for p in _criterion_patterns(n, x_max))
     for k in range(2, x_max + 1):
         if is_squarefree(k):
             assert pos[k] == alpha_monogenic(n, k), (n, k)

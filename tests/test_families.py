@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from eosieve.arith import prime_divisors, prime_sieve
+from eosieve.arith import pow_mod, prime_array, prime_divisors, prime_sieve
+from eosieve.experiments import _criterion_table
 from eosieve.families import (
     ScaledFamily,
     eisenstein_at,
@@ -164,6 +165,19 @@ def test_thin_family_check_examples():
     assert rep.distinguished_index == 2**15
     with pytest.raises(ValueError):
         thin_family_check(4, 2, 5)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
+def test_criterion_table_is_the_wieferich_test(n):
+    # for q not dividing p: q^(p-1) != 1 mod p^2 exactly when the criterion holds
+    qs = prime_array(10**5)
+    keep = (2 * n) % qs != 0
+    for p in prime_divisors(n):
+        coprime = qs[qs % p != 0]
+        wieferich_free = pow_mod(coprime % (p * p), p - 1, p * p) != 1
+        assert (_criterion_table(p)[coprime % (p * p)] == wieferich_free).all(), p
+        keep &= pow_mod(qs % (p * p), p - 1, p * p) != 1
+    assert thin_member_density(n, 2, 10**5)[:2] == (int(keep.sum()), len(qs))
 
 
 def test_thin_density_matches_product():

@@ -82,19 +82,25 @@ def test_enumerate_Pg_examples():
     assert pg == sorted(pg)
 
 
+def _candidates(g, N, limit):
+    """The candidate count and the members of P_g, summed over the windows."""
+    windows = list(_pg_candidates(g, N, limit))
+    return sum(count for count, _ in windows), [q for _, pg in windows for q in pg.tolist()]
+
+
 @pytest.mark.parametrize("g", [2, 4, 13 * 37, 2**70 + 3, 3**64])
 def test_pg_candidates_match_scalar_loop(g):
     # g = 2^70 + 3 and 3^64 do not fit in 64 bits
     primes = prime_sieve(10**5)
     for N in (2, 3, 6, 28, 66):
-        candidates, members = _pg_candidates(g, N, 10**5)
-        assert candidates == [q for q in primes if q % (2 * N) == 1 and (2 * N * g) % q]
+        count, members = _candidates(g, N, 10**5)
+        assert count == len([q for q in primes if q % (2 * N) == 1 and (2 * N * g) % q])
         assert members == [q for q in primes if in_Pg(q, g, N)]
 
 
 def test_pg_candidates_below_2N_plus_1_are_empty():
-    assert _pg_candidates(4, 6, 12) == ([], [])
-    assert _pg_candidates(4, 6, 13) == ([13], [13])
+    assert _candidates(4, 6, 12) == (0, [])
+    assert _candidates(4, 6, 13) == (1, [13])
     # 2N does not fit in int64 and exceeds the limit
     assert enumerate_Pg(4, 10**30, 1000) == []
 
@@ -115,10 +121,10 @@ def test_pg_candidates_sample_guard(monkeypatch):
 def test_pg_limit_of_2_32_is_refused_before_sieving(monkeypatch):
     import eosieve.obstruction as obstruction
 
-    def prime_array(limit):
+    def progression_primes(*args):
         raise AssertionError("the prime sieve was built")
 
-    monkeypatch.setattr(obstruction, "prime_array", prime_array)
+    monkeypatch.setattr(obstruction, "_progression_primes", progression_primes)
     with pytest.raises(ValueError, match="2\\^32"):
         enumerate_Pg(4, 6, 2**32)
     with pytest.raises(ValueError, match="2\\^32"):

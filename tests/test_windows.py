@@ -1,0 +1,78 @@
+"""Range scans folded over small windows give the default-window results."""
+
+import numpy as np
+import pytest
+
+import eosieve.arith as arith
+from eosieve.arith import _progression_primes, prime_array
+from eosieve.experiments import (
+    alpha_density,
+    count_squarefree_not_1_mod_4,
+    exceptional_scan,
+    mertens_sum,
+    pg_free_counts,
+)
+from eosieve.families import thin_member_density
+from eosieve.obstruction import enumerate_Pg, estimate_delta
+
+X = 6000
+
+
+def _plain_sieve(limit):
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, int(limit**0.5) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags).tolist()
+
+
+def _checkpoints(window):
+    # the last value of a window, the first of the next and the one after it,
+    # at the first window boundary and at the fifth
+    return sorted({window - 1, window, window + 1, 5 * window - 1, 5 * window, 5 * window + 1, X})
+
+
+def _scans(xs):
+    return {
+        "alpha 4": alpha_density(4, X, xs),
+        "alpha 6": alpha_density(6, X, xs),
+        "not 1 mod 4": count_squarefree_not_1_mod_4(X),
+        "P_4-free": pg_free_counts(4, 6, X, xs),
+        "P_7-free": pg_free_counts(7, 3, X, xs),
+        "mertens": mertens_sum(4, 6, X, xs),
+        "delta": estimate_delta(4, 6, 10**5),
+        "P_4": enumerate_Pg(4, 6, X),
+        "P_2 at N=28": enumerate_Pg(2, 28, 10**5),
+        "thin 4": thin_member_density(4, 2, X),
+        "thin 6": thin_member_density(6, 5, X),
+        "exceptional 4": exceptional_scan(4, 300, [50, 100, 300]),
+    }
+
+
+# 37 is in P_4 (N = 6), so with windows of 37 it starts the window [37, 74)
+@pytest.mark.parametrize("window", [37, 64, 1000])
+def test_small_windows_give_the_default_window_results(window, monkeypatch):
+    xs = _checkpoints(window)
+    expected = _scans(xs)
+    assert 37 in expected["P_4"]
+    monkeypatch.setattr(arith, "_WINDOW", window)
+    # a cold prime table, so that it too is grown window by window
+    monkeypatch.setattr(arith, "_prime_cache", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(arith, "_prime_cache_limit", 1)
+    monkeypatch.setattr(arith, "_trial", (1, []))
+    assert prime_array(X).tolist() == _plain_sieve(X)
+    assert _scans(xs) == expected
+
+
+@pytest.mark.parametrize("window", [64, 1000, 1 << 22])
+@pytest.mark.parametrize("M", [2, 12, 56, 132])
+def test_progression_sieve_matches_the_prime_table(M, window, monkeypatch):
+    x = 10**5
+    primes = prime_array(x)
+    monkeypatch.setattr(arith, "_WINDOW", window)
+    # the whole range, a range starting just past 1 + M, and a one-value range
+    for lo, hi in ((0, x + 1), (M + 2, x // 3), (M + 1, M + 2)):
+        got = np.concatenate([np.empty(0, dtype=np.int64), *_progression_primes(1, M, lo, hi)])
+        want = primes[(primes % M == 1) & (primes >= lo) & (primes < hi)]
+        assert got.tolist() == want.tolist(), (M, lo, hi)
