@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -220,12 +221,15 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=256, typed=True)
 def factorize(x: int) -> Factorization:
     """Prime factorization of a nonzero integer by trial division.
 
     Cofactors beyond the trial bound are accepted only when provably prime
     (including prime squares and cubes); anything else raises
-    FactorizationError rather than returning a wrong answer.
+    FactorizationError rather than returning a wrong answer.  Results are
+    cached per argument type (a Factorization is frozen); a refusal is
+    raised again on every call, since lru_cache does not cache exceptions.
     """
     if x == 0:
         raise ValueError("0 has no prime factorization")

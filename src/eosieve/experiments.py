@@ -18,6 +18,7 @@ radicands saturated directly in every scan.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -333,6 +334,26 @@ def logpower_fit(cp: Checkpoints) -> FitResult:
     )
 
 
+# Entries per chunk fed to math.fsum by _reciprocal_fsum: a chunk's list of
+# Python floats takes about 32 bytes an entry
+_FSUM_CHUNK = 1 << 14
+
+
+def _reciprocal_fsum(values: np.ndarray) -> float:
+    """math.fsum of 1/v over an integer array, fed in _FSUM_CHUNK chunks.
+
+    fsum rounds the exact sum once, over any iterable, so the result is that
+    of one call over the whole array, without a float64 copy of it.  float64
+    division of v < 2^53 rounds exactly as Python's 1.0 / v.
+    """
+    chunks = range(0, len(values), _FSUM_CHUNK)
+    return math.fsum(
+        itertools.chain.from_iterable(
+            (1.0 / values[i : i + _FSUM_CHUNK]).tolist() for i in chunks
+        )
+    )
+
+
 def mertens_sum(g: int, N: int, x_max: int, checkpoints) -> MertensReport:
     """Partial sums of 1/q over q in P_g, with the slope against log log X.
 
@@ -341,8 +362,7 @@ def mertens_sum(g: int, N: int, x_max: int, checkpoints) -> MertensReport:
     """
     xs = _validate_checkpoints(checkpoints, x_max)
     pg = _pg_array(g, N, x_max)
-    # float64 division of q < 2^53 rounds exactly as Python's 1.0 / q
-    sums = [math.fsum(1.0 / pg[:hi]) for hi in _count_upto(pg, xs)]
+    sums = [_reciprocal_fsum(pg[:hi]) for hi in _count_upto(pg, xs)]
     u = np.log(np.log(np.array(xs, dtype=float)))
     slope, intercept = np.polyfit(u, np.array(sums), 1)
     return MertensReport(

@@ -346,6 +346,33 @@ def _gf_dets(mats: np.ndarray, q: int) -> np.ndarray:
     return det
 
 
+def _coset_draws(rng: random.Random, n: int, q: int, count: int, uniformizer_only: bool):
+    """count vectors b, each [rng.randrange(q) for _ in range(n)] with b[1]
+    then redrawn as rng.randrange(1, q) when uniformizer_only.
+
+    The draws inline random.Random._randbelow: getrandbits(k) for k the bit
+    length of the bound, redrawn while it is not below the bound, so they
+    consume the generator exactly as randrange does.
+    """
+    getrandbits = rng.getrandbits
+    k, k1 = q.bit_length(), (q - 1).bit_length()
+    bs = []
+    for _ in range(count):
+        b = []
+        for _ in range(n):
+            r = getrandbits(k)
+            while r >= q:
+                r = getrandbits(k)
+            b.append(r)
+        if uniformizer_only:
+            r = getrandbits(k1)
+            while r >= q - 1:
+                r = getrandbits(k1)
+            b[1] = 1 + r
+        bs.append(b)
+    return bs
+
+
 def local_coset_check(
     n: int,
     m: int,
@@ -394,12 +421,7 @@ def local_coset_check(
     spot = set(spot_rng.sample(range(trials), min(_COSET_SPOT_CHECKS, trials)))
     failures = 0
     for start in range(0, trials, _COSET_BLOCK):
-        bs = []
-        for _ in range(min(_COSET_BLOCK, trials - start)):
-            b = [rng.randrange(q) for _ in range(n)]
-            if uniformizer_only:
-                b[1] = rng.randrange(1, q)
-            bs.append(b)
+        bs = _coset_draws(rng, n, q, min(_COSET_BLOCK, trials - start), uniformizer_only)
         if q >= 1 << 32:
             failures += sum(pow(_scalar_det(b, poly, q), exponent, q) != base_class for b in bs)
             continue

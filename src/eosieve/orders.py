@@ -18,12 +18,19 @@ that adjoins every integral element of denominator p and serves as the
 correctness oracle for small p.  Both rounds share the same fixed points
 (an order admits no integral element of denominator p outside itself
 exactly when it is p-maximal), so the two paths converge to the same order.
+
+A power order is first screened by Dedekind's criterion over GF(p), a few
+polynomial gcds; when it is p-maximal no round runs.  Two guards raise
+ConsistencyError: a "not p-maximal" verdict must be followed by a first
+round that enlarges the order, and the first _DEDEKIND_CONFIRMATIONS
+"p-maximal" verdicts per degree in a process are confirmed by a full round.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -177,18 +184,32 @@ def poly_disc_resultant(poly: MonicPolynomial) -> int:
     return (-1) ** (n * (n - 1) // 2) * res
 
 
-def _reduce_mod_poly(coeffs: list, poly: MonicPolynomial) -> list:
-    """Reduce an integer coefficient list modulo the monic poly, skipping its zero terms."""
-    n = poly.degree
-    terms = [(i - n, fi) for i, fi in enumerate(poly.coeffs) if fi]
+def _divmod_monic(coeffs: list, low, p: int = 0) -> tuple[list, list]:
+    """Quotient and remainder of an integer coefficient list by the monic
+    x^n + low[n-1] x^(n-1) + ... + low[0], skipping its zero terms.
+
+    With p, each quotient coefficient is reduced mod p, which keeps the
+    numbers small and both results correct mod p.
+    """
+    n = len(low)
+    terms = [(i - n, fi) for i, fi in enumerate(low) if fi]
     c = list(coeffs)
     c += [0] * (n - len(c))
+    quot = [0] * (len(c) - n)
     for k in range(len(c) - 1, n - 1, -1):
         top = c.pop()
+        if p:
+            top %= p
         if top:
+            quot[k - n] = top
             for i, fi in terms:
                 c[k + i] -= top * fi
-    return c
+    return quot, c
+
+
+def _reduce_mod_poly(coeffs: list, poly: MonicPolynomial) -> list:
+    """Reduce an integer coefficient list modulo the monic poly."""
+    return _divmod_monic(coeffs, poly.coeffs)[1]
 
 
 def _poly_mul(a: list, b: list) -> list:
@@ -532,6 +553,75 @@ def _saturation_round(order: EquationOrder, p: int) -> EquationOrder:
     return EquationOrder.from_basis(order.poly, rows, p * order.denominator)
 
 
+def _gf_trim(a: list) -> list:
+    """Drop the zero leading coefficients of an ascending list over GF(p)."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _gf_divmod(a: list, b: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder over GF(p) of reduced a by a monic reduced b."""
+    quot, rem = _divmod_monic(a, b[:-1], p)
+    return quot, _gf_trim([x % p for x in rem])
+
+
+def _gf_gcd(a: list, b: list, p: int) -> list:
+    """Monic gcd over GF(p) of two reduced, trimmed lists, not both zero."""
+    while b:
+        inv = pow(b[-1], p - 2, p)
+        b = [x * inv % p for x in b]
+        a, b = b, _gf_divmod(a, b, p)[1]
+    inv = pow(a[-1], p - 2, p)
+    return [x * inv % p for x in a]
+
+
+def _gf_radical(f: list, p: int) -> list:
+    """The product of the distinct monic irreducible factors of a monic f over GF(p).
+
+    f / gcd(f, f') carries the factors whose multiplicity p does not divide,
+    which is all of them below degree p; otherwise the rest divide
+    gcd(f, f'), whose radical is taken recursively.  When f' vanishes,
+    f(x) = u(x^p) = u(x)^p and the radical is that of u.
+    """
+    if len(f) == 1:
+        return f
+    df = _gf_trim([i * c % p for i, c in enumerate(f)][1:])
+    if not df:
+        return _gf_radical(f[::p], p)
+    c = _gf_gcd(f, df, p)
+    w = _gf_divmod(f, c, p)[0]
+    if len(f) <= p:
+        return w
+    r = _gf_radical(c, p)
+    return _gf_divmod(_poly_mul(w, r), _gf_gcd(w, r, p), p)[0]
+
+
+def _dedekind_p_maximal(poly: MonicPolynomial, p: int) -> bool:
+    """Dedekind's criterion: whether Z[x]/(f) is p-maximal.
+
+    With f = prod phi_i^e_i mod p, g = rad(f mod p), h = (f mod p)/g and G, H
+    their lifts with coefficients in [0, p), Z[x]/(f) is p-maximal exactly
+    when gcd((f - G H)/p, g, h) = 1 over GF(p) (Cohen, A Course in
+    Computational Algebraic Number Theory, Thm 6.1.4).
+    """
+    f = list(poly.coeffs) + [1]
+    fbar = [c % p for c in f]
+    g = _gf_radical(fbar, p)
+    h = _gf_divmod(fbar, g, p)[0]
+    d = _gf_gcd(g, h, p)
+    if len(d) == 1:
+        return True
+    big_f = _gf_trim([(a - b) // p % p for a, b in zip(f, _poly_mul(g, h))])
+    return len(_gf_gcd(d, big_f, p)) == 1
+
+
+# Dedekind verdicts "p-maximal" that a full saturation round confirms, per
+# degree, in each process
+_DEDEKIND_CONFIRMATIONS = 8
+_confirmed_maximal: Counter[int] = Counter()
+
+
 def p_saturate(order: EquationOrder, p: int) -> EquationOrder:
     """The smallest overorder whose index in the maximal order is prime to p.
 
@@ -539,9 +629,31 @@ def p_saturate(order: EquationOrder, p: int) -> EquationOrder:
     multiplier ring of the p-radical, which strictly enlarges any order that
     still admits integral elements of denominator p and fixes exactly the
     p-maximal ones, so the loop terminates at the p-saturation.
+
+    A power order is first screened by Dedekind's criterion.  A "p-maximal"
+    verdict returns the order as it is; the first _DEDEKIND_CONFIRMATIONS
+    such verdicts per degree are confirmed by a full round.  A "not
+    p-maximal" verdict runs the rounds, and the first one must enlarge the
+    order.  Either disagreement raises ConsistencyError.
     """
     if p < 2:
         raise ValueError("p must be a prime >= 2")
+    if order.is_power_order():
+        n = order.degree
+        maximal = _dedekind_p_maximal(order.poly, p)
+        if maximal and _confirmed_maximal[n] >= _DEDEKIND_CONFIRMATIONS:
+            return order
+        bigger = _saturation_round(order, p)
+        if (bigger == order) != maximal:
+            raise ConsistencyError(
+                f"Dedekind's criterion says Z[x]/({order.poly}) is "
+                f"{'' if maximal else 'not '}{p}-maximal, but a saturation round "
+                f"{'enlarges' if maximal else 'does not enlarge'} it"
+            )
+        if maximal:
+            _confirmed_maximal[n] += 1
+            return order
+        order = bigger
     while True:
         bigger = _saturation_round(order, p)
         if bigger == order:

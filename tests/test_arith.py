@@ -18,6 +18,7 @@ from eosieve.arith import (
     mod_pow,
     perfect_power_decompose,
     pow_mod,
+    prime_divisors,
     prime_sieve,
     squarefree_kernel,
     vp,
@@ -249,6 +250,7 @@ def cold_prime_tables(monkeypatch):
     monkeypatch.setattr(arith, "_prime_cache", np.empty(0, dtype=np.int64))
     monkeypatch.setattr(arith, "_prime_cache_limit", 1)
     monkeypatch.setattr(arith, "_trial", (1, []))
+    arith.factorize.cache_clear()
     return arith
 
 
@@ -310,3 +312,23 @@ def test_factorize_refusal_above_the_trial_bound_is_unchanged():
     assert factorize(6 * p**2).factors == ((2, 1), (3, 1), (p, 2))
     with pytest.raises(FactorizationError):
         factorize(p * 4294967291)  # no Pollard rho: a composite cofactor is refused
+
+
+def test_factorize_refusal_is_raised_on_every_call():
+    x = 1000003 * 1000033
+    for _ in range(3):
+        with pytest.raises(FactorizationError):
+            factorize(x)
+
+
+def test_cached_factorizations_equal_fresh_ones():
+    rng = random.Random(17)
+    xs = [rng.randrange(2, 10**12) * rng.choice([1, -1]) for _ in range(200)]
+    first = [factorize(x) for x in xs]
+    again = [factorize(x) for x in xs]
+    assert all(a is b for a, b in zip(first, again))
+    assert first == [factorize.__wrapped__(x) for x in xs]
+    # prime_divisors hands out a fresh list, so a caller may mutate it
+    divisors = prime_divisors(2 * 3 * 5)
+    divisors.append(7)
+    assert prime_divisors(2 * 3 * 5) == [2, 3, 5]

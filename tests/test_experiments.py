@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from eosieve.arith import is_squarefree
+from eosieve.arith import is_squarefree, prime_array
 from eosieve.errors import ConsistencyError
 from eosieve.experiments import (
+    _FSUM_CHUNK,
     Checkpoints,
     _criterion_patterns,
+    _reciprocal_fsum,
     _squarefree_window,
     _tile,
     alpha_density,
@@ -112,6 +114,14 @@ def test_logpower_fit_recovers_synthetic_exponent():
 def test_logpower_fit_degenerate_window():
     with pytest.raises(ValueError):
         logpower_fit(Checkpoints(xs=(100, 200, 400), counts=(10, 20, 30), label="narrow"))
+
+
+def test_chunked_reciprocal_sum_equals_one_shot_fsum():
+    primes = prime_array(4_500_000).astype("uint32")  # 315,948 primes: 20 chunks
+    assert len(primes) > 10 * _FSUM_CHUNK
+    for hi in (1, _FSUM_CHUNK - 1, _FSUM_CHUNK, 3 * _FSUM_CHUNK + 17, len(primes)):
+        assert _reciprocal_fsum(primes[:hi]) == math.fsum(1.0 / primes[:hi]), hi
+    assert _reciprocal_fsum(primes[:0]) == 0.0
 
 
 def test_mertens_sums_nondecreasing():

@@ -10,6 +10,7 @@ from eosieve.errors import AmbiguousSnapError, ConsistencyError
 from eosieve.obstruction import (
     _COSET_BLOCK,
     KummerData,
+    _coset_draws,
     _gf_dets,
     _pg_candidates,
     ObstructionCertificate,
@@ -350,3 +351,17 @@ def test_local_coset_scalar_spot_check_catches_a_disagreement(monkeypatch):
     monkeypatch.setattr(obstruction, "_scalar_det", lambda b, poly, q: -1)
     with pytest.raises(ConsistencyError, match="batched and scalar"):
         local_coset_check(4, 13, 13, trials=50, seed=0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 65537, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("uniformizer_only", [True, False])
+def test_coset_draws_reproduce_randrange(q, uniformizer_only):
+    ref, rng = random.Random(q), random.Random(q)
+    expected = []
+    for _ in range(200):
+        b = [ref.randrange(q) for _ in range(6)]
+        if uniformizer_only:
+            b[1] = ref.randrange(1, q)
+        expected.append(b)
+    assert _coset_draws(rng, 6, q, 200, uniformizer_only) == expected
+    assert rng.getstate() == ref.getstate()

@@ -1,15 +1,25 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eosieve.errors import ContainmentError, EnumerationLimitError, NotClosedError
+from eosieve import orders
+from eosieve.errors import (
+    ConsistencyError,
+    ContainmentError,
+    EnumerationLimitError,
+    NotClosedError,
+)
 from eosieve.orders import (
     EquationOrder,
     MonicPolynomial,
+    _dedekind_p_maximal,
     _hnf,
+    _poly_mul,
+    _saturation_round,
     equation_order_index,
     index_form_value,
     multiplication_table,
@@ -315,3 +325,134 @@ def test_from_basis_takes_the_hermite_form_itself(case):
     assert EquationOrder.from_basis(poly, rows, d) == EquationOrder.from_basis(
         poly, _hnf(rows, n), d
     )
+
+
+def _round_says_maximal(poly: MonicPolynomial, p: int) -> bool:
+    power = EquationOrder.power_order(poly)
+    return _saturation_round(power, p) == power
+
+
+@st.composite
+def _monic_at_prime(draw):
+    """A separable monic f of degree 2..8 and p in {2, .., 13}; each low
+    coefficient is scaled by a random power of p, so f often reduces to a
+    power of x or to repeated factors mod p."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    n = draw(st.integers(2, 8))
+    coeffs = [
+        draw(st.integers(-3 * p, 3 * p)) * p ** draw(st.integers(0, 2)) for _ in range(n)
+    ]
+    poly = MonicPolynomial(tuple(coeffs))
+    assume(poly_disc_resultant(poly) != 0)
+    return poly, p
+
+
+@given(_monic_at_prime())
+@settings(max_examples=300, deadline=None)
+def test_dedekind_verdict_matches_a_saturation_round(case):
+    poly, p = case
+    assert _dedekind_p_maximal(poly, p) == _round_says_maximal(poly, p)
+
+
+def test_dedekind_verdict_matches_enumeration_below_2_16():
+    rng = random.Random(9)
+    verdicts = []
+    # (p, n) with p^n <= 2^16 whose candidates the oracle scans in about a second
+    grid = [(2, range(2, 7)), (3, range(2, 6)), (5, (2, 3)), (7, (2, 3)), (11, (2,)), (13, (2,))]
+    for p, degrees in grid:
+        for n in degrees:
+            assert p**n <= 2**16
+            for _ in range(3):
+                coeffs = tuple(rng.randrange(-p, p) * p ** rng.randrange(3) for _ in range(n))
+                poly = MonicPolynomial(coeffs)
+                if poly_disc_resultant(poly) == 0:
+                    continue
+                power = EquationOrder.power_order(poly)
+                try:
+                    oracle = p_saturate_enumeration(power, p, enumeration_limit=2**16)
+                except NotClosedError:
+                    # the integral elements of denominator p need not span a
+                    # ring; a second round's lattice only exists after the
+                    # first round enlarged the power order
+                    oracle = None
+                verdicts.append(_dedekind_p_maximal(poly, p))
+                assert verdicts[-1] == (oracle == power), (coeffs, p)
+    assert len(verdicts) >= 30 and 5 <= verdicts.count(False) <= len(verdicts) - 5
+
+
+def test_dedekind_on_a_p_th_power_residue():
+    # x^4 - m = (x - m)^4 mod 2: f' vanishes mod 2, so the radical is a 4th root
+    for m in range(16, 32):
+        poly = pure_poly(4, m)
+        verdict = _dedekind_p_maximal(poly, 2)
+        assert verdict == _round_says_maximal(poly, 2), m
+        # 2-maximal when m = 2 mod 4 (Eisenstein) or m = 3 mod 4 (m^2 != m mod 4)
+        assert verdict == (m % 4 in (2, 3)), m
+
+
+def test_dedekind_with_repeated_factors_of_unequal_multiplicity():
+    # f = (x - 1)^2 (x + 1)^3 x (x^2 + 1) + 3 c(x) at p = 3 and
+    # f = (x + 1)^3 (x^2 + x + 1)^2 + 2 c(x) at p = 2, for random c
+    bases = {
+        3: [[-1, 1], [-1, 1], [1, 1], [1, 1], [1, 1], [0, 1], [1, 0, 1]],
+        2: [[1, 1], [1, 1], [1, 1], [1, 1, 1], [1, 1, 1]],
+    }
+    rng = random.Random(4)
+    for p, factors in bases.items():
+        base = [1]
+        for phi in factors:
+            base = _poly_mul(base, phi)
+        for _ in range(25):
+            c = [rng.randrange(-p * p, p * p) for _ in range(len(base) - 1)]
+            coeffs = tuple(b + p * ci for b, ci in zip(base, c))
+            poly = MonicPolynomial(coeffs)
+            if poly_disc_resultant(poly) == 0:
+                continue
+            assert _dedekind_p_maximal(poly, p) == _round_says_maximal(poly, p), (coeffs, p)
+
+
+def test_dedekind_accepts_eisenstein_polynomials():
+    rng = random.Random(2)
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in (2, 3, 5, 8):
+            coeffs = [p * rng.randrange(-5, 6) for _ in range(n)]
+            coeffs[0] = p * rng.choice([c for c in range(-5, 6) if c % p])
+            poly = MonicPolynomial(tuple(coeffs))
+            assert _dedekind_p_maximal(poly, p), (coeffs, p)
+            assert p_saturate(EquationOrder.power_order(poly), p).is_power_order()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_dedekind_on_degree_twelve_pure_polynomials(p):
+    for m in (2, 3, 5, 6, 7, 10, 13, 17, 19, 26, 35, -5, -7):
+        poly = pure_poly(12, m)
+        assert _dedekind_p_maximal(poly, p) == _round_says_maximal(poly, p), (m, p)
+
+
+def test_wrong_maximal_verdict_is_caught(monkeypatch):
+    monkeypatch.setattr(orders, "_dedekind_p_maximal", lambda poly, p: True)
+    monkeypatch.setattr(orders, "_confirmed_maximal", Counter())
+    with pytest.raises(ConsistencyError):
+        p_saturate(EquationOrder.power_order(X4_13), 2)  # Z[x]/(x^4 - 13) is not 2-maximal
+
+
+def test_wrong_not_maximal_verdict_is_caught(monkeypatch):
+    monkeypatch.setattr(orders, "_dedekind_p_maximal", lambda poly, p: False)
+    with pytest.raises(ConsistencyError):
+        p_saturate(EquationOrder.power_order(X4_13), 13)  # Eisenstein at 13
+
+
+def test_maximal_verdicts_are_confirmed_a_bounded_number_of_times(monkeypatch):
+    rounds = []
+    real_round = orders._saturation_round
+
+    def counting(order, p):
+        rounds.append(p)
+        return real_round(order, p)
+
+    monkeypatch.setattr(orders, "_saturation_round", counting)
+    monkeypatch.setattr(orders, "_confirmed_maximal", Counter())
+    for m in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        power = EquationOrder.power_order(pure_poly(5, m))
+        assert p_saturate(power, m) == power
+    assert len(rounds) == orders._DEDEKIND_CONFIRMATIONS
