@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -46,10 +47,12 @@ from .families import (
     trinomial_monogenic_check,
     twist_index_check,
 )
-from .obstruction import _certificate, _pg_candidates, estimate_delta, local_coset_check
+from .obstruction import _certificate, _pg_table, estimate_delta, local_coset_check
 from .purefield import pure_index
 
 ENV_PREFIX = "EOS_"
+# P_g members per pset CSV chunk: each chunk is one list of Python ints
+_PSET_CHUNK = 1 << 14
 
 
 def _setting(args, name: str, default, cast=int):
@@ -119,10 +122,13 @@ def _run_invariants(args):
 
 def _run_pset(args):
     limit = _setting(args, "limit", 1000)
-    windows = _pg_candidates(args.g, args.N, limit)  # checks the arguments
+    _, members = _pg_table(args.g, args.N, limit)
     params = {"g": args.g, "N": args.N, "limit": limit}
-    rows = ((q,) for _, pg in windows for q in pg.tolist())
-    return params, lambda: {"primes": [q for (q,) in rows]}, rows
+    chunks = range(0, len(members), _PSET_CHUNK)
+    rows = itertools.chain.from_iterable(
+        zip(members[i : i + _PSET_CHUNK].tolist()) for i in chunks
+    )
+    return params, lambda: {"primes": members.tolist()}, rows
 
 
 def _run_density(args):

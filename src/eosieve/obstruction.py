@@ -9,10 +9,19 @@ global sign make the index form represent that sign over the q-adic
 integers.  This module builds the Kummer data of g, enumerates P_g,
 estimates its density, emits one-prime certificates, and empirically checks
 the single-coset structure of index-form values on local generators.
+
+P_g up to a limit is enumerated once per process and key: _pg_table keeps
+the last (g, N, limit) it built, the candidate count and the members as one
+read-only uint32 array, and every P_g consumer (enumerate_Pg, estimate_delta,
+the range experiments and the pset command) reads it.  One entry is kept, so
+the cache holds at most one P_g (34 MB at limit = 10^9) and a scan over many
+g replaces it as it goes; refused arguments are not cached and raise on
+every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, replace
@@ -207,19 +216,25 @@ def _pg_window(g: int, N: int, qs: np.ndarray, rng: random.Random) -> tuple[int,
     return len(qs), qs[residues != 1].astype(np.int64)
 
 
-def _pg_array(g: int, N: int, limit: int) -> np.ndarray:
-    """P_g up to limit as one ascending uint32 array.
+@functools.lru_cache(maxsize=1, typed=True)
+def _pg_table(g: int, N: int, limit: int) -> tuple[int, np.ndarray]:
+    """The candidate count and P_g up to limit, as one ascending read-only
+    uint32 array.
 
     Its members lie below 2^32, and half the bytes of int64 keep P_g to
-    34 MB at limit = 10^9.
+    34 MB at limit = 10^9; only the uint32 copy of each window is kept while
+    the windows are folded.  The array is shared by every caller with the
+    same key, hence read-only.
     """
-    members = [pg.astype(np.uint32) for _, pg in _pg_candidates(g, N, limit)]
-    return np.concatenate([np.empty(0, dtype=np.uint32), *members])
+    windows = [(count, pg.astype(np.uint32)) for count, pg in _pg_candidates(g, N, limit)]
+    members = np.concatenate([np.empty(0, dtype=np.uint32), *(pg for _, pg in windows)])
+    members.setflags(write=False)
+    return sum(count for count, _ in windows), members
 
 
 def enumerate_Pg(g: int, N: int, limit: int) -> list[int]:
     """All primes q <= limit with in_Pg(q, g, N), ascending."""
-    return _pg_array(g, N, limit).tolist()
+    return _pg_table(g, N, limit)[1].tolist()
 
 
 def estimate_delta(g: int, N: int, prime_budget: int) -> KummerData:
@@ -236,10 +251,8 @@ def estimate_delta(g: int, N: int, prime_budget: int) -> KummerData:
     kd = kummer_data(g, N)
     if not kd.nontrivial:
         raise ValueError(f"Kummer class of g={g} at N={N} is trivial; delta is not defined")
-    count = hits = 0
-    for candidates, pg in _pg_candidates(g, N, prime_budget):
-        count += candidates
-        hits += candidates - len(pg)
+    count, members = _pg_table(g, N, prime_budget)
+    hits = count - len(members)
     if count == 0:
         raise ValueError("no usable primes under the budget")
     phi_hat = hits / count

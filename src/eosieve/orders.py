@@ -14,8 +14,9 @@ Saturation at a prime p enlarges an order by the elements of p-power
 denominator that are integral, iterating one enlargement round until stable.
 The default round computes the multiplier ring of the p-radical (linear
 algebra mod p); `p_saturate_enumeration` implements the brute-force round
-that adjoins every integral element of denominator p and serves as the
-correctness oracle for small p.  Both rounds share the same fixed points
+that adjoins every integral element of denominator p (and the products
+that make the result a ring) and serves as the correctness oracle for
+small p.  Both rounds share the same fixed points
 (an order admits no integral element of denominator p outside itself
 exactly when it is p-maximal), so the two paths converge to the same order.
 
@@ -688,7 +689,8 @@ def p_saturate_enumeration(
 
     One round scans every element (a_0 e_0 + ... + a_{n-1} e_{n-1})/p with
     a_i in [0, p) and adjoins those whose characteristic polynomial is
-    integral.  Raises EnumerationLimitError when p^n exceeds the limit.
+    integral, then the ring they generate.  Raises EnumerationLimitError
+    when p^n exceeds the limit.
     """
     n = order.degree
     if p**n > enumeration_limit:
@@ -717,7 +719,29 @@ def p_saturate_enumeration(
             [sum(a[i] * order.basis_numerators[i][j] for i in range(n)) for j in range(n)]
             for a in integral
         ]
-        order = EquationOrder.from_basis(order.poly, new_rows, p * order.denominator)
+        order = _ring_generated(order.poly, new_rows, p * order.denominator)
+
+
+def _ring_generated(poly: MonicPolynomial, rows, denominator: int) -> EquationOrder:
+    """The order generated by the lattice of rows / denominator, which holds 1.
+
+    Integral elements span a lattice that need not be closed under
+    multiplication; the products of its basis elements are adjoined until
+    it is.  Every product is integral, so this stops inside the maximal
+    order.
+    """
+    while True:
+        order = EquationOrder.from_basis(poly, rows, denominator)
+        try:
+            multiplication_table(order)
+            return order
+        except NotClosedError:
+            pass
+        basis, den = order.basis_numerators, order.denominator
+        products = itertools.combinations_with_replacement(basis, 2)
+        rows = [[x * den for x in row] for row in basis]
+        rows += [_reduce_mod_poly(_poly_mul(u, v), poly) for u, v in products]
+        denominator = den * den
 
 
 def equation_order_index(

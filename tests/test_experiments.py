@@ -1,8 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+import eosieve.arith as arith
+import eosieve.experiments as experiments
 from eosieve.arith import is_squarefree, prime_array
 from eosieve.errors import ConsistencyError
 from eosieve.experiments import (
@@ -11,6 +14,7 @@ from eosieve.experiments import (
     _criterion_patterns,
     _reciprocal_fsum,
     _squarefree_window,
+    _strike,
     _tile,
     alpha_density,
     alpha_density_target,
@@ -39,10 +43,10 @@ def test_checkpoints_validation():
 def test_pg_free_counts_checks_the_ladder_before_enumerating(monkeypatch):
     import eosieve.experiments as experiments
 
-    def pg_array(*args):
+    def pg_table(*args):
         raise AssertionError("P_g enumerated before the ladder was checked")
 
-    monkeypatch.setattr(experiments, "_pg_array", pg_array)
+    monkeypatch.setattr(experiments, "_pg_table", pg_table)
     with pytest.raises(ValueError, match="ascending"):
         pg_free_counts(4, 6, 10**12, [5, 3, 10**12])
 
@@ -204,3 +208,40 @@ def test_exceptional_scan_saturates_once_per_class_plus_the_sample(monkeypatch):
     calls.clear()
     exceptional_scan(13, 300, [50, 100, 300])  # every class is confirmed already
     assert len(calls) <= 16
+
+
+def _naive_strike(lo, hi, moduli):
+    mask = np.ones(hi - lo, dtype=bool)
+    for d in moduli:
+        for k in range(max(d, -(-lo // d) * d), hi, d):
+            mask[k - lo] = False
+    return mask
+
+
+@pytest.mark.parametrize("kind", ["primes", "squares"])
+def test_strike_matches_naive_marking(kind, monkeypatch):
+    window = 512
+    monkeypatch.setattr(arith, "_WINDOW", window)
+    rng = random.Random(kind)
+    primes = prime_array(20000).tolist()
+    both_paths = 0
+    for _ in range(80):
+        if kind == "primes":  # dense: most primes, up past the window
+            moduli = {q for q in primes[:600] if rng.random() < 0.7}
+        else:  # sparse: a few prime squares
+            moduli = {q * q for q in rng.sample(primes[:40], rng.randrange(1, 20))}
+        moduli |= set(rng.sample([window - 1, window, window + 1, 2 * window], 2))
+        moduli = sorted(moduli)
+        # windows whose first or last entry is a multiple of one modulus
+        d, j = rng.choice(moduli[len(moduli) // 2 :]), rng.randrange(1, 6)
+        lo = rng.choice([0, 1, rng.randrange(2, 6000), j * d])
+        hi = rng.choice([lo + rng.randrange(1, 3 * window), max(lo, j * d) + 1])
+        below = [d for d in moduli if d < window]
+        split = sum(experiments._SLICE_COST * i * d < hi for i, d in enumerate(below))
+        both_paths += 0 < split < len(moduli)
+        want = _naive_strike(lo, hi, moduli)
+        for dtype in (np.int64, np.uint32):
+            mask = np.ones(hi - lo, dtype=bool)
+            _strike(mask, lo, np.array(moduli, dtype=dtype))
+            assert mask.tolist() == want.tolist(), (lo, hi, moduli, dtype)
+    assert both_paths >= 40

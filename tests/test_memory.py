@@ -33,6 +33,8 @@ print(rc, (peak - base) / 1024, file=sys.stderr)
     [
         ["experiment", "pg-free", "--g", "4", "--N", "6", "--x-max", "30000000"],
         ["family", "thin", "--n", "4", "--c", "2", "--limit", "30000000"],
+        ["pset", "4", "6", "--limit", "30000000"],
+        ["density", "4", "6", "--budget", "30000000"],
     ],
 )
 def test_range_command_memory_growth_is_bounded(argv):

@@ -13,6 +13,7 @@ from eosieve.obstruction import (
     _coset_draws,
     _gf_dets,
     _pg_candidates,
+    _pg_table,
     ObstructionCertificate,
     obstruction_certificate,
     enumerate_Pg,
@@ -115,8 +116,54 @@ def test_pg_candidates_sample_guard(monkeypatch):
         return (pow_mod(base, exp, modulus) + 1) % modulus
 
     monkeypatch.setattr(obstruction, "pow_mod", off_by_one)
+    _pg_table.cache_clear()  # a cached P_g would skip the patched pass
     with pytest.raises(ConsistencyError, match="pow_mod gives"):
         enumerate_Pg(4, 6, 10**4)
+
+
+def test_pg_table_warm_call_returns_the_cold_result(monkeypatch):
+    import eosieve.obstruction as obstruction
+
+    passes = []
+    progression_primes = obstruction._progression_primes
+
+    def counted(*args):
+        passes.append(args)
+        return progression_primes(*args)
+
+    monkeypatch.setattr(obstruction, "_progression_primes", counted)
+    _pg_table.cache_clear()
+    count, members = _pg_table(4, 6, 10**5)
+    assert len(passes) == 1
+    warm_count, warm_members = _pg_table(4, 6, 10**5)
+    assert warm_count == count and warm_members is members
+    assert len(passes) == 1  # the warm calls read the table
+    assert not members.flags.writeable
+    with pytest.raises(ValueError):
+        members[0] = 1
+    assert members.dtype == np.uint32
+    assert members.tolist() == [q for q in prime_sieve(10**5) if in_Pg(q, 4, 6)]
+    assert count == sum(1 for q in prime_sieve(10**5) if q % 12 == 1 and q != 2)
+    # the consumers read the same table: no further pass for this key
+    assert enumerate_Pg(4, 6, 10**5) == members.tolist()
+    kd = estimate_delta(4, 6, 10**5)
+    assert kd.l_over_k == 3 and len(passes) == 1
+    # another key replaces the one entry and costs one more pass
+    _pg_table(4, 6, 10**4)
+    _pg_table(4, 6, 10**5)
+    assert len(passes) == 3
+
+
+def test_pg_table_refusals_raise_on_every_call():
+    _pg_table.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="2\\^32"):
+            _pg_table(4, 6, 2**32)
+        with pytest.raises(ValueError, match="g >= 2"):
+            _pg_table(1, 6, 1000)
+        with pytest.raises(ValueError, match="g >= 2"):
+            enumerate_Pg(1, 6, 1000)
+    assert _pg_table.cache_info().currsize == 0
 
 
 def test_pg_limit_of_2_32_is_refused_before_sieving(monkeypatch):

@@ -233,6 +233,18 @@ def test_saturation_matches_enumeration_on_trinomials():
         assert p_saturate(power, p) == p_saturate_enumeration(power, p), (n, t, p)
 
 
+def test_enumeration_oracle_closes_its_lattice_under_multiplication():
+    # at p = 2 the power order and its integral elements of denominator 2
+    # span a lattice that is not a ring (the square of its basis element e_2
+    # falls outside it); the oracle continues from the ring they generate
+    poly = MonicPolynomial((-8, 0, -4, -8, 0, -2))  # x^6 - 2x^5 - 8x^3 - 4x^2 - 8
+    power = EquationOrder.power_order(poly)
+    oracle = p_saturate_enumeration(power, 2, enumeration_limit=2**16)
+    assert p_saturate(power, 2) == oracle
+    assert order_index(power, oracle) == 64
+    multiplication_table(oracle)  # a ring
+
+
 def test_enumeration_resource_limit():
     power = EquationOrder.power_order(pure_poly(4, 13))
     with pytest.raises(EnumerationLimitError):
@@ -368,15 +380,10 @@ def test_dedekind_verdict_matches_enumeration_below_2_16():
                 if poly_disc_resultant(poly) == 0:
                     continue
                 power = EquationOrder.power_order(poly)
-                try:
-                    oracle = p_saturate_enumeration(power, p, enumeration_limit=2**16)
-                except NotClosedError:
-                    # the integral elements of denominator p need not span a
-                    # ring; a second round's lattice only exists after the
-                    # first round enlarged the power order
-                    oracle = None
+                oracle = p_saturate_enumeration(power, p, enumeration_limit=2**16)
                 verdicts.append(_dedekind_p_maximal(poly, p))
                 assert verdicts[-1] == (oracle == power), (coeffs, p)
+                assert p_saturate(power, p) == oracle, (coeffs, p)
     assert len(verdicts) >= 30 and 5 <= verdicts.count(False) <= len(verdicts) - 5
 
 

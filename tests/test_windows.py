@@ -13,7 +13,7 @@ from eosieve.experiments import (
     pg_free_counts,
 )
 from eosieve.families import thin_member_density
-from eosieve.obstruction import enumerate_Pg, estimate_delta
+from eosieve.obstruction import _pg_table, enumerate_Pg, estimate_delta
 
 X = 6000
 
@@ -61,6 +61,8 @@ def test_small_windows_give_the_default_window_results(window, monkeypatch):
     monkeypatch.setattr(arith, "_prime_cache", np.empty(0, dtype=np.int64))
     monkeypatch.setattr(arith, "_prime_cache_limit", 1)
     monkeypatch.setattr(arith, "_trial", (1, []))
+    # and no P_g read from the cache, where the default windows built it
+    _pg_table.cache_clear()
     assert prime_array(X).tolist() == _plain_sieve(X)
     assert _scans(xs) == expected
 
