@@ -8,8 +8,9 @@ run window by window (arith._WINDOW integers at a time): the squarefree
 mask strikes prime squares inside the window, the criterion and index masks
 are the window's slice of a pattern built over one period, P-freeness
 strikes the multiples of the obstruction primes inside the window, and the
-per-window counts at the checkpoints are added up.  Memory does not grow
-with the range beyond the obstruction primes themselves.
+per-window counts at the checkpoints are added up; the exceptional scan
+does so once per index value g, holding one P_g at a time.  Memory does not
+grow with the range beyond the obstruction primes themselves.
 The index tables hold the closed-form local index at each p | n over
 m mod p^(v_p(n)+1); they are guarded by the congruence criterion, by one
 saturation per residue class (once per process), and by a seeded sample of
@@ -18,6 +19,7 @@ radicands saturated directly in every scan.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -114,7 +116,21 @@ class ExceptionalScanReport:
     n: int
     xs: tuple[int, ...]
     rows: tuple[ExceptionalRow, ...]
-    members: tuple[tuple[int, int, bool], ...]  # (g, signed m, is P_g-free)
+    x_max: int
+
+    @functools.cached_property
+    def members(self) -> tuple[tuple[int, int, bool], ...]:
+        """(g, signed m, is P_g-free) for every radicand of index g > 1, by g,
+        then |m|, then m.  Built on first read by a second pass over the
+        scan's windows; the counts in rows never need it."""
+        members = []
+        for row in self.rows:
+            for lo, (pos, neg), free in _index_windows(self.n, self.x_max, row.g):
+                ms = np.concatenate([-lo - np.flatnonzero(neg), lo + np.flatnonzero(pos)])
+                ms = ms[np.lexsort((ms, np.abs(ms)))]
+                flags = free[np.abs(ms) - lo].tolist()
+                members.extend((row.g, m, f) for m, f in zip(ms.tolist(), flags))
+        return tuple(members)
 
     def row(self, g: int) -> ExceptionalRow:
         for r in self.rows:
@@ -300,7 +316,8 @@ def pfree_counts_for_primes(primes, x_max: int, checkpoints, label: str) -> Chec
     xs = _validate_checkpoints(checkpoints, x_max)
     if not isinstance(primes, np.ndarray):
         primes = np.array(list(primes), dtype=np.int64)
-    primes = np.sort(primes)
+    if np.any(primes[1:] < primes[:-1]):  # an ascending P_g table needs no sorted copy
+        primes = np.sort(primes)
     counts = _fold_counts(xs, lambda lo, hi: _window_counts(_pfree_window(primes, lo, hi), lo, xs))
     return Checkpoints(xs=xs, counts=counts, label=label)
 
@@ -387,25 +404,62 @@ def mertens_sum(g: int, N: int, x_max: int, checkpoints) -> MertensReport:
     )
 
 
-def _scan_sample_check(n: int, x_max: int, sf: np.ndarray, tables) -> None:
+# Entries per block in _admissible_at, which holds the positions of one
+# block at a time
+_RANK_BLOCK = 1 << 14
+
+
+def _admissible_at(ranks: set[int], x_max: int) -> dict[int, int]:
+    """The admissible k (squarefree, 2 <= k <= x_max) at the given ranks,
+    counted from 0 in ascending k, keyed by rank: each window is walked block
+    by block."""
+    found = {}
+    seen = 0
+    for lo, hi in _windows(0, x_max + 1):
+        sf = _squarefree_window(lo, hi)
+        for start in range(0, hi - lo, _RANK_BLOCK):
+            block = sf[start : start + _RANK_BLOCK]
+            count = np.count_nonzero(block)
+            for r in ranks:
+                if seen <= r < seen + count:
+                    found[r] = lo + start + int(np.flatnonzero(block)[r - seen])
+            seen += count
+    return found
+
+
+def _scan_sample_check(n: int, x_max: int) -> None:
     """Seeded cross-check of the local index tables against direct saturation.
 
-    Draws 16 admissible radicands (fewer if the range holds fewer) with
-    random.Random(f"{n}:{x_max}") and raises ConsistencyError when the
-    product of their table entries differs from full saturation at the
-    primes dividing n.
+    Draws 16 radicands (fewer if the range holds fewer) with
+    random.Random(f"{n}:{x_max}") from the admissible k in ascending order,
+    then the same k negated, and raises ConsistencyError when the product of
+    their table entries differs from full saturation at the primes dividing n.
     """
-    ks = np.flatnonzero(sf)
-    rng = random.Random(f"{n}:{x_max}")
+    total = _admissible_counts([np.ones(1, dtype=bool)], (x_max,))[0]
+    draws = random.Random(f"{n}:{x_max}").sample(range(2 * total), min(16, 2 * total))
+    ks = _admissible_at({i % total for i in draws}, x_max)
     candidates = prime_divisors(n)
-    for i in rng.sample(range(2 * len(ks)), min(16, 2 * len(ks))):
-        m = int(ks[i]) if i < len(ks) else -int(ks[i - len(ks)])
+    tables = [_local_index_table(n, p) for p in candidates]
+    for i in draws:
+        m = ks[i] if i < total else -ks[i - total]
         g, _ = equation_order_index(pure_poly(n, m), candidates)
-        g_table = math.prod(int(t[m % len(t)]) for t in tables)
+        g_table = math.prod(t[m % len(t)] for t in tables)
         if g != g_table:
             raise ConsistencyError(
                 f"local index tables give g={g_table} for n={n}, m={m}; saturation gives {g}"
             )
+
+
+def _index_windows(n: int, x_max: int, g: int):
+    """Per window of 0 <= k <= x_max: lo, the masks of the k at which m = k
+    and m = -k are radicands (squarefree, k >= 2) of index g, and the P_g-free
+    mask.  The index pattern is compared with g before it is tiled."""
+    tables = [np.array(_local_index_table(n, p), dtype=np.int64) for p in prime_divisors(n)]
+    patterns = [_periodic(tables, x_max, sign, np.multiply) == g for sign in (1, -1)]
+    pg = _pg_table(g, n * (n - 1) // 2, x_max)[1]
+    for lo, hi in _windows(0, x_max + 1):
+        sf = _squarefree_window(lo, hi)
+        yield lo, [sf & _tile(p, lo, hi) for p in patterns], _pfree_window(pg, lo, hi)
 
 
 def exceptional_scan(n: int, x_max: int, checkpoints) -> ExceptionalScanReport:
@@ -413,52 +467,33 @@ def exceptional_scan(n: int, x_max: int, checkpoints) -> ExceptionalScanReport:
 
     Scans squarefree m with 2 <= |m| <= x_max over both signs.  The index
     g(m) is the product over p | n of local indices g_p, each read from a
-    closed-form table over m mod p^(v_p(n)+1) (purefield._local_index_table)
-    and gathered over the whole range.  Three guards raise ConsistencyError:
-    each table must agree with the congruence criterion at every residue,
-    every residue class is confirmed by saturating one member before the
-    scan (once per process), and 16 seeded radicands per scan must get the
-    same index from full saturation.  A radicand of index g is
+    closed-form table over m mod p^(v_p(n)+1) (purefield._local_index_table),
+    so the index values are known before the scan, and each g > 1 is folded
+    over the windows in turn (_index_windows).  Three guards raise
+    ConsistencyError: each table must agree with the congruence criterion at
+    every residue, every residue class is confirmed by saturating one member
+    before the scan (once per process), and 16 seeded radicands per scan must
+    get the same index from full saturation.  A radicand of index g is
     P_g-free when no multiple-marking pass over the primes of P_g up to
     x_max touches |m|.
     """
     xs = _validate_checkpoints(checkpoints, x_max)
-    sf = _squarefree_window(0, x_max + 1)
-    tables = []
+    values = {1}
     for p in prime_divisors(n):
         table = _local_index_table(n, p)
         for r in range(len(table)):
             if r % (p * p):  # confirm every class that holds a squarefree radicand
                 _local_index(n, p, r)
-        tables.append(np.array(table, dtype=np.int64))
-    _scan_sample_check(n, x_max, sf, tables)
-    signed_ms = []
-    signed_gs = []
-    for sign in (1, -1):
-        g = _tile(_periodic(tables, x_max, sign, np.multiply), 0, x_max + 1)
-        keep = sf & (g > 1)
-        signed_ms.append(sign * np.flatnonzero(keep))
-        signed_gs.append(g[keep])
-    ms = np.concatenate(signed_ms)
-    gs = np.concatenate(signed_gs)
-    abs_ms = np.abs(ms)
-    order = np.lexsort((ms, abs_ms, gs))
-    ms, gs, abs_ms = ms[order], gs[order], abs_ms[order]
-
-    N = n * (n - 1) // 2
+        values = {g * t for g in values for t in table}
+    _scan_sample_check(n, x_max)
+    ends = (*xs, x_max)  # the count at x_max says whether g occurs at all
     rows = []
-    members: list[tuple[int, int, bool]] = []
-    for g in np.unique(gs).tolist():
-        lo, hi = np.searchsorted(gs, [g, g + 1])
-        flags = _pfree_window(_pg_table(g, N, x_max)[1], 0, x_max + 1)[abs_ms[lo:hi]]
-        members.extend((g, m, f) for m, f in zip(ms[lo:hi].tolist(), flags.tolist()))
-        free_prefix = np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
-        totals = np.searchsorted(abs_ms[lo:hi], xs, side="right")
-        rows.append(
-            ExceptionalRow(
-                g=g,
-                totals=tuple(totals.tolist()),
-                pg_free=tuple(free_prefix[totals].tolist()),
-            )
-        )
-    return ExceptionalScanReport(n=n, xs=xs, rows=tuple(rows), members=tuple(members))
+    for g in sorted(g for g in values if g > 1):
+        totals = pg_free = 0
+        for lo, radicands, free in _index_windows(n, x_max, g):
+            totals += sum(_window_counts(s, lo, ends) for s in radicands)
+            pg_free += sum(_window_counts(s & free, lo, ends) for s in radicands)
+        if totals[-1]:
+            totals, pg_free = (tuple(c[:-1].tolist()) for c in (totals, pg_free))
+            rows.append(ExceptionalRow(g=g, totals=totals, pg_free=pg_free))
+    return ExceptionalScanReport(n=n, xs=xs, rows=tuple(rows), x_max=x_max)

@@ -171,28 +171,6 @@ def in_Pg(q: int, g: int, N: int) -> bool:
     return not is_nth_power_residue(g, N, q)
 
 
-def _pg_candidates(g: int, N: int, limit: int):
-    """Candidate primes for P_g up to limit, and the members of P_g among them,
-    one window of the progression 1 mod 2N at a time.
-
-    Candidates are the primes q = 1 mod 2N not dividing 2Ng; a candidate is
-    in P_g when g^((q-1)/N) != 1 mod q.  The arguments are checked here, before
-    any sieving; the returned iterator yields, per window, the number of
-    candidates and the members as an ascending int64 array.
-    """
-    if g < 2 or N < 2:
-        raise ValueError("requires g >= 2 and N >= 2")
-    if limit >= 1 << 32:
-        raise ValueError("limit must be below 2^32")
-    if 2 * N >= limit:  # every candidate is at least 2N + 1
-        return iter(())
-    rng = random.Random(f"{g}:{N}:{limit}")
-    return (
-        _pg_window(g, N, qs, rng)
-        for qs in _progression_primes(1, 2 * N, 2 * N + 1, limit + 1)
-    )
-
-
 def _pg_window(g: int, N: int, qs: np.ndarray, rng: random.Random) -> tuple[int, np.ndarray]:
     """The candidate count and the P_g members among the primes qs = 1 mod 2N.
 
@@ -221,12 +199,22 @@ def _pg_table(g: int, N: int, limit: int) -> tuple[int, np.ndarray]:
     """The candidate count and P_g up to limit, as one ascending read-only
     uint32 array.
 
-    Its members lie below 2^32, and half the bytes of int64 keep P_g to
-    34 MB at limit = 10^9; only the uint32 copy of each window is kept while
-    the windows are folded.  The array is shared by every caller with the
-    same key, hence read-only.
+    Candidates are the primes q = 1 mod 2N not dividing 2Ng, sieved one
+    window of the progression at a time (none when 2N >= limit); a candidate
+    is in P_g when g^((q-1)/N) != 1 mod q.  The arguments are checked before
+    any sieving.  Members lie below 2^32, and half the bytes of int64 keep
+    P_g to 34 MB at limit = 10^9; only the uint32 copy of each window is kept
+    while the windows are folded.  The array is shared by every caller with
+    the same key, hence read-only.
     """
-    windows = [(count, pg.astype(np.uint32)) for count, pg in _pg_candidates(g, N, limit)]
+    if g < 2 or N < 2:
+        raise ValueError("requires g >= 2 and N >= 2")
+    if limit >= 1 << 32:
+        raise ValueError("limit must be below 2^32")
+    rng = random.Random(f"{g}:{N}:{limit}")
+    prime_windows = _progression_primes(1, 2 * N, 2 * N + 1, limit + 1)
+    found = (_pg_window(g, N, qs, rng) for qs in prime_windows)
+    windows = [(count, pg.astype(np.uint32)) for count, pg in found]
     members = np.concatenate([np.empty(0, dtype=np.uint32), *(pg for _, pg in windows)])
     members.setflags(write=False)
     return sum(count for count, _ in windows), members

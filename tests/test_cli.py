@@ -11,6 +11,7 @@ import pytest
 
 from eosieve import cli
 from eosieve.cli import main
+from eosieve.experiments import ExceptionalScanReport
 
 
 def _run(capsys, argv):
@@ -305,6 +306,18 @@ def test_experiment_exceptional_json(capsys):
     payload = json.loads(out)
     _validate(payload, "experiment")
     assert {row["g"] for row in payload["rows"]} >= {4}
+
+
+def test_experiment_exceptional_never_reads_members(capsys, monkeypatch):
+    def unread(report):
+        raise AssertionError("the CLI read ExceptionalScanReport.members")
+
+    monkeypatch.setattr(ExceptionalScanReport, "members", property(unread))
+    argv = ["experiment", "exceptional", "--n", "4", "--x-max", "3000"]
+    rc, out = _run(capsys, argv + ["--format", "csv"])
+    assert rc == 0
+    rc, out = _run(capsys, argv)
+    assert rc == 0 and json.loads(out)["rows"]
 
 
 def test_family_reports_validate(capsys):

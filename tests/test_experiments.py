@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -106,6 +107,13 @@ def test_pfree_inclusion_exclusion_cross_check():
     assert pfree_count_inclusion_exclusion([], 50) == 50
 
 
+def test_pfree_counts_accept_primes_in_any_order():
+    xs = [10**3, 10**4, 10**5]
+    ascending = pfree_counts_for_primes(np.array([13, 37, 61]), 10**5, xs, "P")
+    assert pfree_counts_for_primes(np.array([61, 13, 37]), 10**5, xs, "P") == ascending
+    assert pfree_counts_for_primes([37, 61, 13], 10**5, xs, "P") == ascending
+
+
 def test_logpower_fit_recovers_synthetic_exponent():
     xs = (10**7, 10**8, 10**9, 10**10)
     counts = tuple(round(x / math.log(x) ** (1 / 6)) for x in xs)
@@ -143,6 +151,32 @@ def test_exceptional_scan_small():
         assert row.totals == tuple(sorted(row.totals))
     # index-1 parameters never appear
     assert all(g >= 2 for g, _, _ in rep.members)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.members = ()
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("window, block", [(None, None), (37, None), (1000, 7)])
+def test_exceptional_scan_samples_the_whole_range_draws(n, window, block, monkeypatch):
+    x_max = 3000
+    ks = [k for k in range(2, x_max + 1) if is_squarefree(k)]
+    rng = random.Random(f"{n}:{x_max}")
+    draws = rng.sample(range(2 * len(ks)), 16)
+    expected = [ks[i] if i < len(ks) else -ks[i - len(ks)] for i in draws]
+    if window:
+        monkeypatch.setattr(arith, "_WINDOW", window)
+    if block:
+        monkeypatch.setattr(experiments, "_RANK_BLOCK", block)
+    sampled = []
+    pure_poly = experiments.pure_poly
+
+    def recording(n, m):
+        sampled.append(m)
+        return pure_poly(n, m)
+
+    monkeypatch.setattr(experiments, "pure_poly", recording)
+    exceptional_scan(n, x_max, [100, 1000, x_max])
+    assert sampled == expected
 
 
 def test_exceptional_scan_sample_guard(monkeypatch):

@@ -1,4 +1,5 @@
-"""Range commands at X = 3*10^7 run within a fixed memory budget.
+"""Range commands at X = 3*10^7 (the exceptional scan at 10^7, where the
+whole range took 716 MB) run within a fixed memory budget.
 
 Each command runs in a fresh interpreter that imports the CLI first; the
 growth of its peak resident set (ru_maxrss) over that import-only baseline
@@ -35,6 +36,7 @@ print(rc, (peak - base) / 1024, file=sys.stderr)
         ["family", "thin", "--n", "4", "--c", "2", "--limit", "30000000"],
         ["pset", "4", "6", "--limit", "30000000"],
         ["density", "4", "6", "--budget", "30000000"],
+        ["experiment", "exceptional", "--n", "4", "--x-max", "10000000"],
     ],
 )
 def test_range_command_memory_growth_is_bounded(argv):

@@ -12,7 +12,6 @@ from eosieve.obstruction import (
     KummerData,
     _coset_draws,
     _gf_dets,
-    _pg_candidates,
     _pg_table,
     ObstructionCertificate,
     obstruction_certificate,
@@ -85,9 +84,9 @@ def test_enumerate_Pg_examples():
 
 
 def _candidates(g, N, limit):
-    """The candidate count and the members of P_g, summed over the windows."""
-    windows = list(_pg_candidates(g, N, limit))
-    return sum(count for count, _ in windows), [q for _, pg in windows for q in pg.tolist()]
+    """The candidate count and the members of P_g, as a list."""
+    count, members = _pg_table(g, N, limit)
+    return count, members.tolist()
 
 
 @pytest.mark.parametrize("g", [2, 4, 13 * 37, 2**70 + 3, 3**64])
