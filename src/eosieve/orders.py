@@ -8,17 +8,19 @@ denominator, so lattice equality is plain structural equality.
 Order coordinates come from integer back-substitution over the common
 denominator; a division that is not exact raises the caller's typed error.
 Fractions appear only at the API edge (`basis_element`, `coordinates`) and
-in the enumeration oracle.
+in the enumeration oracle.  numpy arrays carry exact integers only, never
+floats.
 
 Saturation at a prime p enlarges an order by the elements of p-power
 denominator that are integral, iterating one enlargement round until stable.
-The default round computes the multiplier ring of the p-radical (linear
-algebra mod p); `p_saturate_enumeration` implements the brute-force round
-that adjoins every integral element of denominator p (and the products
-that make the result a ring) and serves as the correctness oracle for
-small p.  Both rounds share the same fixed points
-(an order admits no integral element of denominator p outside itself
-exactly when it is p-maximal), so the two paths converge to the same order.
+The default round computes the multiplier ring of the p-radical by exact
+arithmetic mod p^2 on integer arrays, with the kernels over GF(p) taken by
+one Python elimination.  `p_saturate_enumeration` implements the
+brute-force round that adjoins every integral element of denominator p (and
+the products that make the result a ring) and serves as the correctness
+oracle for small p.  Both rounds share the same fixed points (an order
+admits no integral element of denominator p outside itself exactly when it
+is p-maximal), so the two paths converge to the same order.
 
 A power order is first screened by Dedekind's criterion over GF(p), a few
 polynomial gcds; when it is p-maximal no round runs.  Two guards raise
@@ -35,6 +37,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import ConsistencyError, ContainmentError, EnumerationLimitError, NotClosedError
 
@@ -481,68 +485,65 @@ def _gf_nullspace(matrix: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
-def _matmul_mod(a, b, p):
-    n = len(a)
-    m = len(b[0])
-    kk = len(b)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(kk)) % p for j in range(m)]
-        for i in range(n)
-    ]
-
-
 def _saturation_round(order: EquationOrder, p: int) -> EquationOrder:
-    """One multiplier-ring enlargement: Mult of the p-radical of O/pO."""
+    """One multiplier-ring enlargement: Mult of the p-radical of O/pO.
+
+    The work is exact arithmetic mod p and p^2 on integer arrays.  The
+    radical is the kernel of x -> x^(p^k) with p^k >= n, which is additive
+    mod p, so one batched power of all basis elements gives its matrix.
+    For the Hermite basis B of the radical ideal I, p e_j lies in I, so
+    p e_j = sum_t C[j][t] b_t with C integral: C = p B^-1.  The matrix of
+    e_i acting on I is then B T_i C / p for the table slice T_i; it is
+    integral exactly when e_i I lies in I, which B T_i C = 0 mod p tests,
+    and mod p it is (B T_i C mod p^2) / p.  B has entries in [0, p] and T
+    and C are reduced below p^2, so no sum of n products reaches n p^4:
+    int64 while n p^4 < 2^62, Python integers (dtype object) beyond.
+    """
     n = order.degree
-    table = multiplication_table(order)
+    q = p * p
+    dtype = np.int64 if n * q * q < 1 << 62 else object
+    table = np.array(
+        [[[x % q for x in tij] for tij in ti] for ti in multiplication_table(order)],
+        dtype=dtype,
+    )
+    flat_p = table.reshape(n, n * n) % p
 
     def mul_mod(u, v):
-        return [x % p for x in _mult_coords(u, v, table, n)]
+        """Row-wise products mod p of two stacks of n elements."""
+        uv = (u @ flat_p % p).reshape(n, n, n)
+        return (v[:, None, :] @ uv)[:, 0, :] % p
 
-    one = [1] + [0] * (n - 1)
-    frob = []
-    for i in range(n):
-        base = [0] * n
-        base[i] = 1
-        acc = list(one)
-        e = p
-        sq = base
-        while e:
-            if e & 1:
-                acc = mul_mod(acc, sq)
-            e >>= 1
-            if e:
-                sq = mul_mod(sq, sq)
-        frob.append(acc)
-    k = 1
-    while p**k < n:
-        k += 1
-    fk = frob
-    for _ in range(k - 1):
-        fk = _matmul_mod(fk, frob, p)
-    # radical of O/pO: row vectors a with a . fk = 0
-    fk_t = [[fk[i][j] for i in range(n)] for j in range(n)]
-    radical = _gf_nullspace(fk_t, p)
+    e = p
+    while e < n:
+        e *= p
+    power = np.eye(n, dtype=dtype)
+    frob = None
+    while True:
+        if e & 1:
+            frob = power if frob is None else mul_mod(frob, power)
+        e >>= 1
+        if not e:
+            break
+        power = mul_mod(power, power)
+    # radical of O/pO: row vectors a with a . frob = 0
+    radical = _gf_nullspace(frob.T.tolist(), p)
     if not radical:
         return order
     ideal_rows = _hnf(
         [list(v) for v in radical] + [[p if i == j else 0 for j in range(n)] for i in range(n)],
         n,
     )
-    # matrices of multiplication by e_i acting on I/pI
     error = ConsistencyError("expected integral coordinates in ideal basis")
-    mult_mats = []
-    for i in range(n):
-        mat = []
-        for crow in ideal_rows:
-            prod = _mult_coords([1 if t == i else 0 for t in range(n)], crow, table, n)
-            y = _solve_lower_triangular(ideal_rows, prod, error)
-            mat.append([t % p for t in y])
-        mult_mats.append(mat)
-    flat = []
-    for j in range(n):
-        for t in range(n):
-            flat.append([mult_mats[i][j][t] for i in range(n)])
+    c = [
+        _solve_lower_triangular(ideal_rows, [p if t == j else 0 for t in range(n)], error)
+        for j in range(n)
+    ]
+    b = np.array(ideal_rows, dtype=dtype)
+    action = (b @ table % q) @ (np.array(c, dtype=dtype) % q) % q
+    if (action % p).any():
+        raise error
+    # rows (j, t), columns i: coordinate t of e_i b_j in the basis of I
+    flat = (action // p).transpose(1, 2, 0).reshape(n * n, n).tolist()
     kernel = _gf_nullspace(flat, p)
     if not kernel:
         return order

@@ -261,6 +261,15 @@ def test_equation_order_index_examples():
     assert g == 8  # fixed by the enumeration oracle and the discriminant identity
 
 
+# 4 p^4 < 2^62 at the first prime (int64 arrays), not at the others (Python
+# integers); at 2^31 - 1 int64 arrays would overflow
+@pytest.mark.parametrize("p", [27397, 40009, 2**31 - 1])
+def test_saturation_at_primes_on_both_sides_of_the_int64_bound(p):
+    # theta / p is a root of x^4 - 5, which is p-maximal for p > 5
+    g, _ = equation_order_index(MonicPolynomial((-5 * p**4, 0, 0, 0)), [p])
+    assert g == p**6
+
+
 def test_discriminant_index_identity_grid():
     for n, m in [(4, 13), (4, 73), (4, -3), (5, 7), (5, 11), (6, 17), (6, -15)]:
         from eosieve.arith import prime_divisors
@@ -447,6 +456,14 @@ def test_wrong_not_maximal_verdict_is_caught(monkeypatch):
     monkeypatch.setattr(orders, "_dedekind_p_maximal", lambda poly, p: False)
     with pytest.raises(ConsistencyError):
         p_saturate(EquationOrder.power_order(X4_13), 13)  # Eisenstein at 13
+
+
+def test_radical_that_is_not_an_ideal_is_caught(monkeypatch):
+    # I = 3Z + theta Z in Z[i] is no ideal: theta * theta = -1 lies outside it
+    monkeypatch.setattr(orders, "_gf_nullspace", lambda matrix, p: [[0, 1]])
+    power = EquationOrder.power_order(MonicPolynomial((1, 0)))
+    with pytest.raises(ConsistencyError, match="expected integral coordinates in ideal basis"):
+        _saturation_round(power, 3)
 
 
 def test_maximal_verdicts_are_confirmed_a_bounded_number_of_times(monkeypatch):
