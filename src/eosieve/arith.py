@@ -55,12 +55,13 @@ _WINDOW = 1 << 22
 _prime_cache = np.empty(0, dtype=np.int64)
 _prime_cache_limit = 1
 
-# (limit, the primes up to limit as Python ints) for trial division, replaced
-# as one tuple so that readers never see a limit its list does not cover.  The
-# limit grows in doubling steps (from 2^16, capped at _TRIAL_LIMIT) only when
-# a call needs a larger bound, so the list never holds the primes of more than
-# twice the largest bound needed.
-_trial: tuple[int, list[int]] = (1, [])
+# (limit, the primes up to limit as Python ints in runs of _TRIAL_CHUNK, each
+# with its product) for trial division, replaced as one tuple so that readers
+# never see a limit its runs do not cover.  The limit grows in doubling steps
+# (from 2^16, capped at _TRIAL_LIMIT) only when a call needs a larger bound,
+# so the runs never hold the primes of more than twice the largest bound needed.
+_TRIAL_CHUNK = 256
+_trial: tuple[int, list[tuple[list[int], int]]] = (1, [])
 
 
 def _windows(start: int, stop: int):
@@ -138,15 +139,19 @@ def prime_array(limit: int) -> np.ndarray:
     return _prime_cache[:hi]
 
 
-def _trial_divisors(bound: int) -> list[int]:
-    """A list of Python-int primes, ascending, covering every prime <= bound."""
+def _trial_chunks(bound: int) -> list[tuple[list[int], int]]:
+    """Runs of Python-int primes with their products, ascending, covering every prime <= bound."""
     global _trial
-    limit, primes = _trial
+    limit, chunks = _trial
     if bound > limit:
         limit = min(max(bound, 2 * limit, 1 << 16), _TRIAL_LIMIT)
-        primes = prime_array(limit).tolist()
-        _trial = (limit, primes)
-    return primes
+        # the full runs are kept, and the primes after them cut into new runs
+        chunks = [chunk for chunk in chunks if len(chunk[0]) == _TRIAL_CHUNK]
+        primes = prime_array(limit)[len(chunks) * _TRIAL_CHUNK :].tolist()
+        runs = (primes[i : i + _TRIAL_CHUNK] for i in range(0, len(primes), _TRIAL_CHUNK))
+        chunks += [(run, math.prod(run)) for run in runs]
+        _trial = (limit, chunks)
+    return chunks
 
 
 def prime_sieve(limit: int) -> list[int]:
@@ -237,15 +242,19 @@ def factorize(x: int) -> Factorization:
     n = abs(x)
     factors: list[tuple[int, int]] = []
     if n > 1:
-        for p in _trial_divisors(min(math.isqrt(n), _TRIAL_LIMIT)):
-            if p * p > n:
+        # a chunk whose product is prime to n is passed over in one gcd
+        for primes, product in _trial_chunks(min(math.isqrt(n), _TRIAL_LIMIT)):
+            if primes[0] ** 2 > n:
                 break
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                factors.append((p, e))
+            if math.gcd(product, n) == 1:
+                continue
+            for p in primes:
+                if p * p > n:
+                    break
+                if n % p == 0:
+                    e = vp(n, p)
+                    factors.append((p, e))
+                    n //= p**e
         if n > 1:
             if n <= _TRIAL_LIMIT**2 or is_probable_prime(n):
                 factors.append((n, 1))
@@ -336,14 +345,9 @@ def perfect_power_decompose(g: int) -> tuple[int, int]:
     """Write g >= 2 as h**d with d maximal (h not a proper power)."""
     if g < 2:
         raise ValueError("perfect_power_decompose requires g >= 2")
-    fac = factorize(g)
-    d = 0
-    for _, e in fac.factors:
-        d = math.gcd(d, e)
-    h = 1
-    for p, e in fac.factors:
-        h *= p ** (e // d)
-    return h, d
+    factors = factorize(g).factors
+    d = math.gcd(*(e for _, e in factors))
+    return math.prod(p ** (e // d) for p, e in factors), d
 
 
 def integer_nth_root(x: int, k: int) -> int:
@@ -368,13 +372,7 @@ def squarefree_kernel(x: int) -> int:
     """Product of the primes dividing x to an odd power (x > 0)."""
     if x < 1:
         raise ValueError("requires x >= 1")
-    if x == 1:
-        return 1
-    kern = 1
-    for p, e in factorize(x).factors:
-        if e % 2 == 1:
-            kern *= p
-    return kern
+    return math.prod(p for p, e in factorize(x).factors if e % 2)
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -386,8 +384,6 @@ def euler_phi(n: int) -> int:
     """Euler's totient."""
     if n < 1:
         raise ValueError("requires n >= 1")
-    if n == 1:
-        return 1
     phi = n
     for p in factorize(n).primes:
         phi -= phi // p

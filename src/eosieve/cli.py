@@ -4,9 +4,9 @@ Subcommands wrap the library operations one to one and emit deterministic
 JSON or CSV reports that embed the input parameters and library version.
 Each leaf subcommand has one runner in RUNNERS that returns the report's
 params, its fields (a dict, or a function that builds it when only the
-JSON report needs the work) and its CSV rows (an iterable, or None for
-JSON-only commands); one handler builds the envelope and writes the
-report, CSV through ``csv.writer`` as the rows arrive.  A runner resolves
+JSON report needs the work) and its CSV rows (an iterable, a function that
+yields the CSV text in pieces, or None for JSON-only commands); one handler
+builds the envelope and writes the report as the rows arrive.  A runner resolves
 only the settings it reads, each from its flag, then its EOS_-prefixed
 environment variable, then its default.
 Exit codes: 0 success, 2 usage or precondition violation, 3 internal
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import itertools
 import json
 import math
 import os
@@ -51,7 +50,7 @@ from .obstruction import _certificate, _pg_table, estimate_delta, local_coset_ch
 from .purefield import pure_index
 
 ENV_PREFIX = "EOS_"
-# P_g members per pset CSV chunk: each chunk is one list of Python ints
+# P_g members per pset CSV chunk: each chunk is written as one piece of text
 _PSET_CHUNK = 1 << 14
 
 
@@ -124,11 +123,12 @@ def _run_pset(args):
     limit = _setting(args, "limit", 1000)
     _, members = _pg_table(args.g, args.N, limit)
     params = {"g": args.g, "N": args.N, "limit": limit}
-    chunks = range(0, len(members), _PSET_CHUNK)
-    rows = itertools.chain.from_iterable(
-        zip(members[i : i + _PSET_CHUNK].tolist()) for i in chunks
-    )
-    return params, lambda: {"primes": members.tolist()}, rows
+
+    def csv_text():
+        for i in range(0, len(members), _PSET_CHUNK):
+            yield "\n".join(map(str, members[i : i + _PSET_CHUNK].tolist())) + "\n"
+
+    return params, lambda: {"primes": members.tolist()}, csv_text
 
 
 def _run_density(args):
@@ -373,10 +373,12 @@ def _run(args) -> int:
     with (
         open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
     ) as fh:
-        if text is None:
-            csv.writer(fh, lineterminator="\n").writerows(csv_rows)
-        else:
+        if text is not None:
             fh.write(text)
+        elif callable(csv_rows):
+            fh.writelines(csv_rows())
+        else:
+            csv.writer(fh, lineterminator="\n").writerows(csv_rows)
     return 0
 
 

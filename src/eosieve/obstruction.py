@@ -327,24 +327,33 @@ def _gf_dets(mats: np.ndarray, q: int) -> np.ndarray:
     reduced matrices: _gf_echelon's elimination, run on every matrix at once.
 
     Each matrix takes its own pivot (the first nonzero entry at or below the
-    diagonal), inverted by Fermat with pow_mod; the input is overwritten.
+    diagonal).  The elimination is fraction-free: rows below the pivot are
+    scaled by it before the pivot row is subtracted, so det = sign *
+    prod(pivot_c) / prod(pivot_c^(n-1-c)), whose divisor is inverted once by
+    Fermat with pow_mod (a zero pivot makes both 0).  The input is overwritten.
     """
     trials, n, _ = mats.shape
     qq = np.uint64(q)
-    det = np.ones(trials, dtype=np.uint64)
+    det = np.ones(trials, dtype=np.uint64)  # product of the pivots so far
+    scale = det.copy()  # prod(pivot_c^(n-1-c)) as the product of the dets before each column
+    flips = np.zeros(trials, dtype=bool)
     every = np.arange(trials)
     for c in range(n):
         pivot = c + (mats[:, c:, c] != 0).argmax(axis=1)  # c itself when the column is zero
         swap = pivot != c
-        rows_c = mats[every, c].copy()
-        mats[every, c] = mats[every, pivot]
-        mats[every, pivot] = rows_c
-        det = np.where(swap, (qq - det) % qq, det) * mats[:, c, c] % qq
-        inv = pow_mod(mats[:, c, c], q - 2, q)
-        f = mats[:, c + 1 :, c] * inv[:, None] % qq
-        mats[:, c + 1 :] += qq - f[:, :, None] * mats[:, c, None, :] % qq
-        mats[:, c + 1 :] %= qq
-    return det
+        if swap.any():
+            rows_c = mats[every, c].copy()
+            mats[every, c] = mats[every, pivot]
+            mats[every, pivot] = rows_c
+            flips ^= swap
+        scale = scale * det % qq
+        det = det * mats[:, c, c] % qq
+        below = mats[:, c + 1 :, c + 1 :]
+        below *= mats[:, c, c, None, None]  # below q^2, so one more residue fits
+        below += qq - mats[:, c + 1 :, c, None] * mats[:, c, None, c + 1 :] % qq
+        below %= qq
+    det = det * pow_mod(scale, q - 2, q) % qq
+    return np.where(flips, (qq - det) % qq, det)
 
 
 def _coset_draws(rng: random.Random, n: int, q: int, count: int, uniformizer_only: bool):

@@ -752,10 +752,14 @@ def equation_order_index(
 
     Returns (g, maximal_order) where g is the product of the index gains at
     each candidate.  The result is the full maximal order whenever the
-    candidates cover every prime whose square divides disc(f).
+    candidates cover every prime whose square divides disc(f).  The basis is
+    lower triangular over denominator d, so g = d^n / prod of its pivots.
     """
-    power = EquationOrder.power_order(poly)
-    order = power
+    order = EquationOrder.power_order(poly)
     for p in sorted(set(int(q) for q in candidate_primes)):
         order = p_saturate(order, p)
-    return order_index(power, order), order
+    pivots = math.prod(row[i] for i, row in enumerate(order.basis_numerators))
+    g, rest = divmod(order.denominator**order.degree, pivots)
+    if rest:
+        raise ConsistencyError(f"pivot product {pivots} does not divide d^n for Z[x]/({poly})")
+    return g, order

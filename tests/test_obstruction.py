@@ -348,6 +348,29 @@ def test_gf_dets_match_gf_echelon_on_arbitrary_matrices(q):
         assert dets.tolist() == [_gf_echelon(a, q)[2] for a in mats], (q, n)
 
 
+def test_gf_dets_inverts_once_per_block(monkeypatch):
+    import eosieve.obstruction as obstruction
+
+    calls = []
+    pow_mod = obstruction.pow_mod
+
+    def counting(*args):
+        calls.append(args)
+        return pow_mod(*args)
+
+    monkeypatch.setattr(obstruction, "pow_mod", counting)
+    rng = random.Random(9)
+    q = 13
+    # singular matrices and ones that need row swaps, beside generic ones
+    mats = [[[rng.randrange(q) for _ in range(9)] for _ in range(9)] for _ in range(50)]
+    mats += [[[0] * 9] + [[rng.randrange(q) for _ in range(9)] for _ in range(8)]]
+    mats += [[row[:1] + [0] + row[2:] for row in mats[0]]]
+    dets = _gf_dets(np.array(mats, dtype=np.uint64), q)
+    assert len(calls) == 1
+    assert dets.tolist() == [_gf_echelon(a, q)[2] for a in mats]
+    assert dets[-2] == 0 and dets[-1] == 0
+
+
 @pytest.mark.parametrize(
     "n, m, q, trials",
     [

@@ -261,6 +261,25 @@ def test_equation_order_index_examples():
     assert g == 8  # fixed by the enumeration oracle and the discriminant identity
 
 
+def _square_disc_primes(poly):
+    from eosieve.arith import factorize
+
+    return [p for p, e in factorize(poly_disc_resultant(poly)).factors if e > 1]
+
+
+def test_equation_order_index_is_the_pivot_index_of_the_saturated_order():
+    from eosieve.arith import prime_divisors
+    from eosieve.families import ScaledFamily, in_T_hsf, trinomial_poly
+
+    cases = [(pure_poly(n, m), prime_divisors(n)) for n in range(4, 14) for m in (2, -3, 10, 17)]
+    cases += [(trinomial_poly(n, t), None) for n in (4, 5, 6) for t in range(2, 14)]
+    family = ScaledFamily(4, (3, -2, 1, 0))
+    cases += [(family.poly_at(t), None) for t in range(2, 40) if in_T_hsf(family, t)]
+    for poly, primes in cases:
+        g, maximal = equation_order_index(poly, primes or _square_disc_primes(poly))
+        assert g == order_index(EquationOrder.power_order(poly), maximal), poly
+
+
 # 4 p^4 < 2^62 at the first prime (int64 arrays), not at the others (Python
 # integers); at 2^31 - 1 int64 arrays would overflow
 @pytest.mark.parametrize("p", [27397, 40009, 2**31 - 1])
