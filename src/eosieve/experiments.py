@@ -221,7 +221,7 @@ def _periodic(tables, x_max: int, sign: int, combine) -> np.ndarray:
     across the tables to t[(sign * k) % len(t)], from k = 0.
 
     The period is prod(len(t)); it is cut at x_max + 1 if the range is
-    shorter.  _tile lays it over a window.
+    shorter.  _tiler lays it over the windows.
     """
     period = min(math.prod(len(t) for t in tables), x_max + 1)
     r = sign * np.arange(period)
@@ -231,10 +231,13 @@ def _periodic(tables, x_max: int, sign: int, combine) -> np.ndarray:
     return pattern
 
 
-def _tile(pattern: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The periodic pattern over lo <= k < hi (within the range it was built for)."""
-    reps = -(-(hi - lo) // len(pattern))
-    return np.tile(np.roll(pattern, -lo), reps)[: hi - lo]
+def _tiler(pattern: np.ndarray, x_max: int):
+    """Window slicer of a periodic pattern over 0 <= k <= x_max (the range it
+    was built for): the pattern is tiled once to a window plus a period, and
+    the window [lo, hi) is the slice of that at lo mod the period."""
+    period = len(pattern)
+    ext = np.tile(pattern, -(-min(arith._WINDOW, x_max + 1) // period) + 1)
+    return lambda lo, hi: ext[lo % period : lo % period + hi - lo]
 
 
 def _criterion_table(p: int) -> np.ndarray:
@@ -276,9 +279,11 @@ def _admissible_counts(patterns, xs: tuple[int, ...]) -> tuple[int, ...]:
     """Checkpoint counts of the squarefree k >= 2 at which a pattern holds,
     summed over the patterns (one per sign of m)."""
 
+    tiles = [_tiler(p, xs[-1]) for p in patterns]
+
     def window_counts(lo, hi):
         sf = _squarefree_window(lo, hi)
-        return sum(_window_counts(sf & _tile(p, lo, hi), lo, xs) for p in patterns)
+        return sum(_window_counts(sf & tile(lo, hi), lo, xs) for tile in tiles)
 
     return _fold_counts(xs, window_counts)
 
@@ -455,11 +460,11 @@ def _index_windows(n: int, x_max: int, g: int):
     and m = -k are radicands (squarefree, k >= 2) of index g, and the P_g-free
     mask.  The index pattern is compared with g before it is tiled."""
     tables = [np.array(_local_index_table(n, p), dtype=np.int64) for p in prime_divisors(n)]
-    patterns = [_periodic(tables, x_max, sign, np.multiply) == g for sign in (1, -1)]
     pg = _pg_table(g, n * (n - 1) // 2, x_max)[1]
+    tiles = [_tiler(_periodic(tables, x_max, s, np.multiply) == g, x_max) for s in (1, -1)]
     for lo, hi in _windows(0, x_max + 1):
         sf = _squarefree_window(lo, hi)
-        yield lo, [sf & _tile(p, lo, hi) for p in patterns], _pfree_window(pg, lo, hi)
+        yield lo, [sf & tile(lo, hi) for tile in tiles], _pfree_window(pg, lo, hi)
 
 
 def exceptional_scan(n: int, x_max: int, checkpoints) -> ExceptionalScanReport:
@@ -493,6 +498,7 @@ def exceptional_scan(n: int, x_max: int, checkpoints) -> ExceptionalScanReport:
         for lo, radicands, free in _index_windows(n, x_max, g):
             totals += sum(_window_counts(s, lo, ends) for s in radicands)
             pg_free += sum(_window_counts(s & free, lo, ends) for s in radicands)
+            del radicands, free  # not held while the next window is built
         if totals[-1]:
             totals, pg_free = (tuple(c[:-1].tolist()) for c in (totals, pg_free))
             rows.append(ExceptionalRow(g=g, totals=totals, pg_free=pg_free))

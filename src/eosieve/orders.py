@@ -5,8 +5,10 @@ rational vector space spanned by the power basis 1, θ, ..., θ^(n-1).  Bases
 are kept in a canonical lower-triangular Hermite form over a common
 denominator, so lattice equality is plain structural equality.
 
-Order coordinates come from integer back-substitution over the common
-denominator; a division that is not exact raises the caller's typed error.
+Order coordinates come from one batched integer back-substitution over the
+common denominator (n numpy steps for all right-hand sides, a whole
+multiplication table included); an inexact division raises the caller's
+typed error.
 Fractions appear only at the API edge (`basis_element`, `coordinates`) and
 in the enumeration oracle.  numpy arrays carry exact integers only, never
 floats.
@@ -227,23 +229,23 @@ def _poly_mul(a: list, b: list) -> list:
     return out
 
 
-def _solve_lower_triangular(rows, rhs, error: Exception) -> list[int]:
-    """Integer c with c . rows = rhs for a lower-triangular integer basis.
+def _back_substitute(basis: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer c with c @ basis = rhs along the last axis of rhs, for a
+    lower-triangular integer basis, in n numpy steps.
 
-    Raises `error` as soon as a pivot division is not exact.
+    Returns the coordinates (rhs's dtype) and the mask of right-hand sides
+    whose every pivot division was exact; the coordinates of the others are
+    meaningless.  Entries above the diagonal of the basis are not read.
     """
-    n = len(rows)
-    c = [0] * n
+    n = len(basis)
+    coords = np.zeros_like(rhs)
+    exact = np.ones(rhs.shape[:-1], dtype=bool)
     for j in range(n - 1, -1, -1):
-        s = rhs[j]
-        for i in range(j + 1, n):
-            if rows[i][j]:
-                s -= c[i] * rows[i][j]
-        q, r = divmod(s, rows[j][j])
-        if r:
-            raise error
-        c[j] = q
-    return c
+        # coords[..., i] is still 0 for i <= j
+        s = rhs[..., j] - coords @ basis[:, j]
+        coords[..., j] = q = s // basis[j, j]
+        exact &= q * basis[j, j] == s
+    return coords, exact
 
 
 @dataclass(frozen=True)
@@ -310,11 +312,12 @@ class EquationOrder:
         rhs = [Fraction(x) * self.denominator for x in power_coords]
         pivots = math.prod(row[i] for i, row in enumerate(self.basis_numerators))
         scale = math.lcm(*(x.denominator for x in rhs)) * pivots
-        coords = _solve_lower_triangular(
-            self.basis_numerators,
-            [x.numerator * (scale // x.denominator) for x in rhs],
-            ConsistencyError("scaled coordinates must be integral"),
+        coords, exact = _back_substitute(
+            np.array(self.basis_numerators, dtype=object),
+            np.array([x.numerator * (scale // x.denominator) for x in rhs], dtype=object),
         )
+        if not exact:
+            raise ConsistencyError("scaled coordinates must be integral")
         return tuple(Fraction(c, scale) for c in coords)
 
 
@@ -331,57 +334,52 @@ class IndexFormValue:
 
 
 @lru_cache(maxsize=256)
-def _multiplication_table_cached(order: EquationOrder):
+def _multiplication_table_cached(order: EquationOrder) -> np.ndarray:
+    """Read-only (n, n, n) integer array of the structure constants.
+
+    The power order's is P[a, b] = theta^(a+b) mod f.  For Hermite
+    numerators B over d, d^2 e_i e_j is (B @ (B @ P))[i, j] in power
+    coordinates, at most rho = n^2 beta^2 t with beta = max|B|, t = max|P|.
+    When 0 <= B[i][j] < B[j][j] below the diagonal (checked: an order can
+    be built directly), exact pivot steps keep |c_j| <= rho 2^(n-1-j) and
+    every partial sum below beta rho 2^n: int64 while that is below 2^62,
+    Python integers (dtype object) otherwise.
+    """
     n = order.degree
-    poly = order.poly
     if order.is_power_order():
-        # theta^k reduced mod f, for k up to 2n-2
-        powers = []
-        cur = [0] * n
-        cur[0] = 1
-        powers.append(tuple(cur))
+        powers = [[1] + [0] * (n - 1)]
         for _ in range(2 * n - 2):
-            cur = _reduce_mod_poly([0] + list(cur), poly)
-            powers.append(tuple(cur))
-        return tuple(tuple(powers[i + j] for j in range(n)) for i in range(n))
-    rows = order.basis_numerators
-    den = order.denominator
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            prod = _reduce_mod_poly(_poly_mul(rows[i], rows[j]), poly)
-            if any(x % den for x in prod):
-                raise NotClosedError(i, j)
-            entry = tuple(
-                _solve_lower_triangular(rows, [x // den for x in prod], NotClosedError(i, j))
-            )
-            table[i][j] = entry
-            table[j][i] = entry
-    return tuple(tuple(row) for row in table)
+            powers.append(_reduce_mod_poly([0] + powers[-1], order.poly))
+        dtype = np.int64 if max(map(abs, itertools.chain(*powers))) < 1 << 62 else object
+        table = np.array([powers[a : a + n] for a in range(n)], dtype=dtype)
+    else:
+        power = _multiplication_table_cached(EquationOrder.power_order(order.poly))
+        rows = order.basis_numerators
+        hermite = all(rows[j][j] > 0 for j in range(n)) and all(
+            0 <= rows[i][j] < rows[j][j] for j in range(n) for i in range(j + 1, n)
+        )
+        beta = max(map(abs, itertools.chain(*rows)))
+        bound = (n * n * beta**3 * int(np.abs(power).max())) << n
+        dtype = np.int64 if hermite and bound < 1 << 62 else object
+        basis = np.array(rows, dtype=dtype)
+        power = power.astype(dtype, copy=False).reshape(n, n * n)
+        num = basis @ (basis @ power).reshape(n, n, n)
+        table, exact = _back_substitute(basis, num // order.denominator)
+        # symmetric, so the first pair in row-major order has j >= i
+        bad = ~exact | (num % order.denominator != 0).any(-1)
+        if bad.any():
+            raise NotClosedError(*map(int, np.argwhere(bad)[0]))
+    table.setflags(write=False)
+    return table
 
 
 def multiplication_table(order: EquationOrder):
     """Structure constants c[i][j][k] with e_i * e_j = sum_k c[i][j][k] e_k.
 
-    Raises NotClosedError naming the first offending pair when the lattice
-    is not a ring.
+    Raises NotClosedError naming the first offending pair (row-major, j >= i)
+    when the lattice is not a ring.
     """
-    return _multiplication_table_cached(order)
-
-
-def _mult_coords(u, v, table, n):
-    w = [0] * n
-    for i, ui in enumerate(u):
-        if ui:
-            ti = table[i]
-            for j, vj in enumerate(v):
-                if vj:
-                    s = ui * vj
-                    tij = ti[j]
-                    for k in range(n):
-                        if tij[k]:
-                            w[k] += s * tij[k]
-    return w
+    return tuple(tuple(map(tuple, ti)) for ti in _multiplication_table_cached(order).tolist())
 
 
 def index_form_value(order: EquationOrder, beta, orientation_sign: int = 1) -> IndexFormValue:
@@ -390,15 +388,12 @@ def index_form_value(order: EquationOrder, beta, orientation_sign: int = 1) -> I
     `beta` is given by integer coordinates in the order's basis; the order's
     own basis defines the +1 orientation.
     """
-    n = order.degree
-    table = multiplication_table(order)
-    beta = [int(b) for b in beta]
-    rows = [[1] + [0] * (n - 1)]
-    cur = rows[0]
-    for _ in range(n - 1):
-        cur = _mult_coords(cur, beta, table, n)
-        rows.append(cur)
-    det = _bareiss_det(rows)
+    table = _multiplication_table_cached(order).astype(object)
+    times_beta = np.array([int(b) for b in beta], dtype=object) @ table  # row i: e_i * beta
+    rows = [np.eye(order.degree, dtype=object)[0]]
+    for _ in range(order.degree - 1):
+        rows.append(rows[-1] @ times_beta)
+    det = _bareiss_det([row.tolist() for row in rows])
     return IndexFormValue(value=orientation_sign * det, orientation_sign=orientation_sign)
 
 
@@ -406,27 +401,20 @@ def order_index(sub: EquationOrder, sup: EquationOrder) -> int:
     """Lattice index [sup : sub] for sub contained in sup (same polynomial)."""
     if sub.poly != sup.poly:
         raise ValueError("orders must share the same polynomial")
-    error = ContainmentError("suborder is not contained in superorder")
-    T = []
-    for row in sub.basis_numerators:
-        scaled = [x * sup.denominator for x in row]
-        if any(x % sub.denominator for x in scaled):
-            raise error
-        rhs = [x // sub.denominator for x in scaled]
-        T.append(_solve_lower_triangular(sup.basis_numerators, rhs, error))
-    return abs(_bareiss_det(T))
+    scaled = np.array(sub.basis_numerators, dtype=object) * sup.denominator
+    coords, exact = _back_substitute(
+        np.array(sup.basis_numerators, dtype=object), scaled // sub.denominator
+    )
+    if not exact.all() or (scaled % sub.denominator).any():
+        raise ContainmentError("suborder is not contained in superorder")
+    return abs(_bareiss_det(coords.tolist()))
 
 
 def order_disc(order: EquationOrder) -> int:
     """Determinant of the trace form Tr(e_i e_j) on the order."""
-    n = order.degree
-    table = multiplication_table(order)
-    traces = [sum(table[k][i][i] for i in range(n)) for k in range(n)]
-    gram = [
-        [sum(table[i][j][k] * traces[k] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    return _bareiss_det(gram)
+    table = _multiplication_table_cached(order).astype(object)
+    # Tr(e_k) is the trace of multiplication by e_k, sum_i table[k][i][i]
+    return _bareiss_det((table @ np.trace(table, axis1=1, axis2=2)).tolist())
 
 
 def _gf_echelon(matrix, p: int) -> tuple[list[list[int]], list[int], int]:
@@ -496,16 +484,17 @@ def _saturation_round(order: EquationOrder, p: int) -> EquationOrder:
     e_i acting on I is then B T_i C / p for the table slice T_i; it is
     integral exactly when e_i I lies in I, which B T_i C = 0 mod p tests,
     and mod p it is (B T_i C mod p^2) / p.  B has entries in [0, p] and T
-    and C are reduced below p^2, so no sum of n products reaches n p^4:
-    int64 while n p^4 < 2^62, Python integers (dtype object) beyond.
+    and C are reduced below p^2, so no sum of n products reaches n p^4, and
+    solving for C stays below p^2 2^n (as in _multiplication_table_cached):
+    int64 while both are below 2^62, Python integers (dtype object) beyond.
     """
     n = order.degree
     q = p * p
-    dtype = np.int64 if n * q * q < 1 << 62 else object
-    table = np.array(
-        [[[x % q for x in tij] for tij in ti] for ti in multiplication_table(order)],
-        dtype=dtype,
-    )
+    dtype = np.int64 if max(n * q * q, q << n) < 1 << 62 else object
+    table = _multiplication_table_cached(order)
+    if dtype is object:
+        table = table.astype(object)
+    table = (table % q).astype(dtype, copy=False)
     flat_p = table.reshape(n, n * n) % p
 
     def mul_mod(u, v):
@@ -534,12 +523,11 @@ def _saturation_round(order: EquationOrder, p: int) -> EquationOrder:
         n,
     )
     error = ConsistencyError("expected integral coordinates in ideal basis")
-    c = [
-        _solve_lower_triangular(ideal_rows, [p if t == j else 0 for t in range(n)], error)
-        for j in range(n)
-    ]
     b = np.array(ideal_rows, dtype=dtype)
-    action = (b @ table % q) @ (np.array(c, dtype=dtype) % q) % q
+    c, exact = _back_substitute(b, p * np.eye(n, dtype=dtype))
+    if not exact.all():
+        raise error
+    action = (b @ table % q) @ (c % q) % q
     if (action % p).any():
         raise error
     # rows (j, t), columns i: coordinate t of e_i b_j in the basis of I

@@ -16,7 +16,6 @@ from eosieve.experiments import (
     _reciprocal_fsum,
     _squarefree_window,
     _strike,
-    _tile,
     alpha_density,
     alpha_density_target,
     count_squarefree_not_1_mod_4,
@@ -79,7 +78,7 @@ def test_alpha_density_small_scale():
 def test_criterion_masks_match_alpha_monogenic(n):
     x_max = 2000
     sf = _squarefree_window(0, x_max + 1)
-    pos, neg = (sf & _tile(p, 0, x_max + 1) for p in _criterion_patterns(n, x_max))
+    pos, neg = (sf & np.resize(p, x_max + 1) for p in _criterion_patterns(n, x_max))
     for k in range(2, x_max + 1):
         if is_squarefree(k):
             assert pos[k] == alpha_monogenic(n, k), (n, k)

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,10 @@ from eosieve.orders import (
     MonicPolynomial,
     _dedekind_p_maximal,
     _hnf,
+    _multiplication_table_cached,
     _poly_mul,
+    _reduce_mod_poly,
+    _ring_generated,
     _saturation_round,
     equation_order_index,
     index_form_value,
@@ -499,3 +503,170 @@ def test_maximal_verdicts_are_confirmed_a_bounded_number_of_times(monkeypatch):
         power = EquationOrder.power_order(pure_poly(5, m))
         assert p_saturate(power, m) == power
     assert len(rounds) == orders._DEDEKIND_CONFIRMATIONS
+
+
+def _solve_oracle(rows, rhs):
+    """Integer c with c . rows = rhs, one coordinate at a time; None when a
+    pivot division is not exact."""
+    n = len(rows)
+    c = [0] * n
+    for j in range(n - 1, -1, -1):
+        q, r = divmod(rhs[j] - sum(c[i] * rows[i][j] for i in range(j + 1, n)), rows[j][j])
+        if r:
+            return None
+        c[j] = q
+    return c
+
+
+def _table_oracle(order):
+    """The multiplication table one basis pair at a time, in Python integers;
+    NotClosedError names the first pair (row-major, j >= i) outside the order."""
+    n, rows, den = order.degree, order.basis_numerators, order.denominator
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            prod = _reduce_mod_poly(_poly_mul(rows[i], rows[j]), order.poly)
+            entry = None
+            if not any(x % den for x in prod):
+                entry = _solve_oracle(rows, [x // den for x in prod])
+            if entry is None:
+                raise NotClosedError(i, j)
+            table[i][j] = table[j][i] = tuple(entry)
+    return tuple(tuple(row) for row in table)
+
+
+def _assert_table_matches_oracle(order):
+    try:
+        want = _table_oracle(order)
+    except NotClosedError as err:
+        with pytest.raises(NotClosedError) as got:
+            multiplication_table(order)
+        assert got.value.pair == err.pair, order
+        return
+    assert multiplication_table(order) == want, order
+
+
+def _rounds(poly, p):
+    """Every order the saturation rounds at p pass through, from the power order."""
+    reached = [EquationOrder.power_order(poly)]
+    while (bigger := _saturation_round(reached[-1], p)) != reached[-1]:
+        reached.append(bigger)
+    return reached
+
+
+def test_batched_table_matches_the_oracle_on_saturated_orders():
+    from eosieve.arith import prime_divisors
+    from eosieve.families import ScaledFamily, in_T_hsf, trinomial_poly
+
+    cases = [
+        (pure_poly(n, m), p)
+        for n in range(2, 14)
+        for p in prime_divisors(n)
+        for m in (-3, 10, 1 + p * p, 1 + 3 * p * p)
+    ]
+    cases += [
+        (poly, p)
+        for poly in (trinomial_poly(n, t) for n in (4, 5, 6) for t in range(2, 14))
+        for p in _square_disc_primes(poly)
+    ]
+    family = ScaledFamily(4, (3, -2, 1, 0))
+    cases += [
+        (poly, p)
+        for poly in (family.poly_at(t) for t in range(2, 40) if in_T_hsf(family, t))
+        for p in _square_disc_primes(poly)
+    ]
+    enlarged = 0
+    for poly, p in cases:
+        reached = _rounds(poly, p)
+        enlarged += len(reached) - 1
+        for order in reached:
+            _assert_table_matches_oracle(order)
+    assert enlarged >= 90
+
+
+@pytest.mark.parametrize(
+    "poly, p",
+    [(MonicPolynomial((-5 * p**4, 0, 0, 0)), p) for p in (27397, 40009, 2**31 - 1)]
+    + [(pure_poly(4, 10**30 + 57), 2)],
+)
+def test_batched_table_matches_the_oracle_on_large_entries(poly, p):
+    reached = _rounds(poly, p)
+    assert len(reached) > 1
+    for order in reached:
+        _assert_table_matches_oracle(order)
+    if p == 2:  # theta^4 = 10^30 + 57 leaves int64 at the power table
+        assert all(_multiplication_table_cached(o).dtype == object for o in reached)
+
+
+@pytest.mark.parametrize("n, m, p", [(3, 10, 3), (4, 13, 2), (5, 26, 5), (6, 10, 3), (8, 17, 2)])
+def test_batched_table_matches_the_oracle_across_the_int64_bound(n, m, p):
+    # rings Z + k O for a saturated order O, k doubling until the table leaves int64
+    order = p_saturate(EquationOrder.power_order(pure_poly(n, m)), p)
+    d = order.denominator
+    dtypes, k = [], 1
+    while object not in dtypes:
+        gens = [[d] + [0] * (n - 1)] + [[k * x for x in row] for row in order.basis_numerators]
+        ring = EquationOrder.from_basis(order.poly, gens, d)
+        _assert_table_matches_oracle(ring)
+        dtypes.append(_multiplication_table_cached(ring).dtype)
+        k *= 2
+    assert dtypes.count(np.int64) > 1
+
+
+@given(_generating_rows())
+@settings(max_examples=200, deadline=None)
+def test_batched_table_matches_the_oracle_on_lattices(case):
+    # mostly not rings: NotClosedError must name the oracle's first pair
+    n, d, rows = case
+    _assert_table_matches_oracle(EquationOrder.from_basis(pure_poly(n, 2), rows, d))
+
+
+@st.composite
+def _integral_generators(draw):
+    """1 and a few small integer combinations of the basis of a saturated
+    order (x^n - m at p, none of them p-maximal as a power order)."""
+    n, m, p = draw(st.sampled_from([(3, 10, 3), (4, 13, 2), (6, 10, 3), (5, 26, 5)]))
+    ring = p_saturate(EquationOrder.power_order(pure_poly(n, m)), p)
+    rows = ring.basis_numerators
+    coeff = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    picks = draw(st.lists(coeff, min_size=n - 1, max_size=n))
+    gens = [rows[0]] + [[sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n)] for cs in picks]
+    return ring.poly, gens, ring.denominator
+
+
+@given(_integral_generators())
+@settings(max_examples=100, deadline=None)
+def test_batched_table_matches_the_oracle_on_generated_rings(case):
+    poly, gens, d = case
+    try:
+        lattice = EquationOrder.from_basis(poly, gens, d)
+    except ValueError:  # the picks do not span a full-rank lattice
+        assume(False)
+    _assert_table_matches_oracle(lattice)
+    _assert_table_matches_oracle(_ring_generated(poly, gens, d))
+
+
+def test_table_of_a_basis_outside_hermite_form_does_not_wrap():
+    # rows theta^i + 2^10 theta^(i-1) span Z[theta] for x^8 - 3, but below-pivot
+    # entries of 2^10 over pivots 1 grow the coordinates like 2^(10 k)
+    n, big = 8, 1 << 10
+    rows = tuple(tuple(1 if j == i else big if j == i - 1 else 0 for j in range(n)) for i in range(n))
+    ring = EquationOrder(pure_poly(n, 3), rows, 1)
+    _assert_table_matches_oracle(ring)
+    assert max(abs(c) for ti in multiplication_table(ring) for tij in ti for c in tij) > 1 << 63
+    # the same rows over 2 (with 1 = 2 e_0 / 2) are not a ring
+    halves = EquationOrder(ring.poly, ((2,) + (0,) * (n - 1),) + rows[1:], 2)
+    with pytest.raises(NotClosedError):
+        multiplication_table(halves)
+    _assert_table_matches_oracle(halves)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_back_substitute_flags_the_inexact_right_hand_side(dtype):
+    basis = np.array(MAX13_ROWS, dtype=dtype)
+    coords = np.array([[1, 0, 0, 0], [3, -2, 5, 7], [0, 0, 0, 1], [-4, 1, 1, -9]], dtype=dtype)
+    rhs = coords @ basis
+    rhs[2, 0] += 1  # e_3 + 1: coordinate 0 needs 1 / 2
+    got, exact = orders._back_substitute(basis, rhs.reshape(2, 2, 4))
+    assert exact.tolist() == [[True, True], [False, True]]
+    assert got.reshape(4, 4)[[0, 1, 3]].tolist() == coords[[0, 1, 3]].tolist()

@@ -35,6 +35,9 @@ def _checkpoints(window):
 
 def _scans(xs):
     exceptional = exceptional_scan(4, 300, [50, 100, 300])
+    # n = 6: criterion and index patterns of period 36, so windows of 37 and 64
+    # start off a period boundary (lo % 36 != 0)
+    exceptional_6 = exceptional_scan(6, 300, [50, 100, 300])
     return {
         "alpha 4": alpha_density(4, X, xs),
         "alpha 6": alpha_density(6, X, xs),
@@ -50,6 +53,8 @@ def _scans(xs):
         "exceptional 4": exceptional,
         # report equality covers the rows; the members are built by their own pass
         "exceptional 4 members": exceptional.members,
+        "exceptional 6": exceptional_6,
+        "exceptional 6 members": exceptional_6.members,
     }
 
 
