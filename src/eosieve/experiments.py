@@ -1,20 +1,19 @@
 """Desk-scale density and sieve experiments.
 
-Counts are exact: squarefree status, the power-order criterion and the
-index g(m) are read off residue tables and quadratic sieves, P-freeness is
-decided by marking multiples of the obstruction primes, and the only
-floating point enters in the final density ratios and fits.  Range scans
-run window by window (arith._WINDOW integers at a time): the squarefree
-mask strikes prime squares inside the window, the criterion and index masks
-are the window's slice of a pattern built over one period, P-freeness
-strikes the multiples of the obstruction primes inside the window, and the
-per-window counts at the checkpoints are added up; the exceptional scan
-does so once per index value g, holding one P_g at a time.  Memory does not
-grow with the range beyond the obstruction primes themselves.
-The index tables hold the closed-form local index at each p | n over
-m mod p^(v_p(n)+1); they are guarded by the congruence criterion, by one
-saturation per residue class (once per process), and by a seeded sample of
-radicands saturated directly in every scan.
+Counts are exact: squarefree status and the index g(m) are read off
+residue tables and quadratic sieves, P-freeness is decided by marking
+multiples of the obstruction primes, and the only floating point enters in
+the final density ratios and fits.  Range scans run window by window
+(arith._WINDOW integers at a time): the squarefree mask strikes prime
+squares inside the window, the index mask is the window's slice of a
+pattern built over one period, P-freeness strikes the multiples of the
+obstruction primes inside the window, and the per-window counts at the
+checkpoints are added up; the exceptional scan does so once per index value
+g, holding one P_g at a time.  Memory does not grow with the range beyond
+the obstruction primes themselves.  The pattern of g(m) = g, the criterion
+(g = 1) included, is the AND over p | n of the boolean local index tables
+of purefield._index_tables, guarded there and by a seeded sample of
+radicands saturated in every exceptional scan.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .arith import _windows, prime_array, prime_divisors
 from .errors import ConsistencyError
 from .obstruction import _pg_table
 from .orders import equation_order_index
-from .purefield import _criterion_holds, _local_index, _local_index_table, pure_poly
+from .purefield import _index_tables, _local_index, _local_index_table, pure_poly
 
 __all__ = [
     "AlphaDensityReport",
@@ -216,44 +215,36 @@ def _pfree_window(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return free
 
 
-def _periodic(tables, x_max: int, sign: int, combine) -> np.ndarray:
-    """One period of the ufunc combine (np.logical_and, np.multiply) applied
-    across the tables to t[(sign * k) % len(t)], from k = 0.
+def _periodic(tables, x_max: int) -> np.ndarray:
+    """One period, from k = 0, of the AND over the boolean tables of
+    t[m % len(t)]: row 0 at m = k, row 1 at m = -k.
 
     The period is prod(len(t)); it is cut at x_max + 1 if the range is
-    shorter.  _tiler lays it over the windows.
+    shorter.  _radicand_windows lays it over the windows.
     """
     period = min(math.prod(len(t) for t in tables), x_max + 1)
-    r = sign * np.arange(period)
-    pattern = np.full(period, combine.identity)
+    m = np.outer((1, -1), np.arange(period))
+    pattern = np.ones(m.shape, dtype=bool)
     for t in tables:
-        pattern = combine(pattern, t[r % len(t)])
+        pattern &= t[m % len(t)]
     return pattern
 
 
-def _tiler(pattern: np.ndarray, x_max: int):
-    """Window slicer of a periodic pattern over 0 <= k <= x_max (the range it
-    was built for): the pattern is tiled once to a window plus a period, and
-    the window [lo, hi) is the slice of that at lo mod the period."""
-    period = len(pattern)
-    ext = np.tile(pattern, -(-min(arith._WINDOW, x_max + 1) // period) + 1)
-    return lambda lo, hi: ext[lo % period : lo % period + hi - lo]
-
-
-def _criterion_table(p: int) -> np.ndarray:
-    """table[r] = _criterion_holds(r, p) for the residues r mod p^2."""
-    return np.array([_criterion_holds(r, p) for r in range(p * p)], dtype=bool)
-
-
-def _criterion_patterns(n: int, x_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """One period of the power-order criterion over |m|, for m > 0 and m < 0.
-
-    The criterion at p | n depends on m mod p^2 only, so it is tabulated once
-    per residue; squarefreeness is not part of the pattern.
-    """
-    tables = [_criterion_table(p) for p in prime_divisors(n)]
-    pos, neg = (_periodic(tables, x_max, sign, np.logical_and) for sign in (1, -1))
-    return pos, neg
+def _radicand_windows(patterns: np.ndarray, x_max: int):
+    """Per window of 0 <= k <= x_max: lo, hi and, for each row of the periodic
+    patterns (one period of 0 <= k <= x_max, as from _periodic), the mask of
+    the squarefree k >= 2 at which it holds.  The patterns are tiled once to
+    a window plus a period, and the window [lo, hi) is their slice at lo mod
+    the period."""
+    period = patterns.shape[1]
+    ext = np.tile(patterns, -(-min(arith._WINDOW, x_max + 1) // period) + 1)
+    for lo, hi in _windows(0, x_max + 1):
+        tiles = ext[:, lo % period : lo % period + hi - lo]
+        sf = _squarefree_window(lo, hi)
+        masks = [sf & tile for tile in tiles[1:]]
+        sf &= tiles[0]  # the first mask is sf itself
+        yield lo, hi, [sf, *masks]
+        del sf, masks  # not held while the next window is built
 
 
 def _window_counts(mask: np.ndarray, lo: int, xs: tuple[int, ...]) -> np.ndarray:
@@ -266,26 +257,14 @@ def _window_counts(mask: np.ndarray, lo: int, xs: tuple[int, ...]) -> np.ndarray
     return counts
 
 
-def _fold_counts(xs: tuple[int, ...], window_counts) -> tuple[int, ...]:
-    """Checkpoint counts over 0 <= k <= xs[-1], the sum of window_counts(lo, hi)
-    over the windows.  Windows merge by addition, in any grouping."""
-    total = np.zeros(len(xs), dtype=np.int64)
-    for lo, hi in _windows(0, xs[-1] + 1):
-        total += window_counts(lo, hi)
-    return tuple(total.tolist())
-
-
 def _admissible_counts(patterns, xs: tuple[int, ...]) -> tuple[int, ...]:
     """Checkpoint counts of the squarefree k >= 2 at which a pattern holds,
-    summed over the patterns (one per sign of m)."""
-
-    tiles = [_tiler(p, xs[-1]) for p in patterns]
-
-    def window_counts(lo, hi):
-        sf = _squarefree_window(lo, hi)
-        return sum(_window_counts(sf & tile(lo, hi), lo, xs) for tile in tiles)
-
-    return _fold_counts(xs, window_counts)
+    summed over the rows of the patterns (one per sign of m)."""
+    total = np.zeros(len(xs), dtype=np.int64)
+    for lo, _, masks in _radicand_windows(patterns, xs[-1]):
+        total += sum(_window_counts(s, lo, xs) for s in masks)
+        del masks  # not held while the next window is built
+    return tuple(total.tolist())
 
 
 def alpha_density_target(n: int) -> float:
@@ -300,10 +279,13 @@ def alpha_density(n: int, x_max: int, checkpoints) -> AlphaDensityReport:
     """Two-sided density of radicands whose power order is maximal.
 
     Counts m with |m| <= X, squarefree (hence irreducible at these degrees)
-    and satisfying the congruence criterion; densities are counts / (2X).
+    and of index 1, which is the congruence criterion at every p | n;
+    densities are counts / (2X).
     """
+    if n < 2:
+        raise ValueError("degree must be >= 2")
     xs = _validate_checkpoints(checkpoints, x_max)
-    counts = _admissible_counts(_criterion_patterns(n, x_max), xs)
+    counts = _admissible_counts(_periodic(_index_tables(n, 1), x_max), xs)
     cp = Checkpoints(xs=xs, counts=counts, label=f"alpha-monogenic n={n}")
     densities = tuple(c / (2 * x) for c, x in zip(counts, xs))
     return AlphaDensityReport(n=n, checkpoints=cp, densities=densities, target=alpha_density_target(n))
@@ -311,9 +293,8 @@ def alpha_density(n: int, x_max: int, checkpoints) -> AlphaDensityReport:
 
 def count_squarefree_not_1_mod_4(x_max: int) -> int:
     """#{m : 2 <= |m| <= x_max, m squarefree, m != 1 mod 4}, both signs."""
-    not_1_mod_4 = [np.array([True, False, True, True])]
-    patterns = [_periodic(not_1_mod_4, x_max, sign, np.logical_and) for sign in (1, -1)]
-    return _admissible_counts(patterns, (x_max,))[0]
+    not_1_mod_4 = np.array([True, False, True, True])
+    return _admissible_counts(_periodic([not_1_mod_4], x_max), (x_max,))[0]
 
 
 def pfree_counts_for_primes(primes, x_max: int, checkpoints, label: str) -> Checkpoints:
@@ -323,8 +304,10 @@ def pfree_counts_for_primes(primes, x_max: int, checkpoints, label: str) -> Chec
         primes = np.array(list(primes), dtype=np.int64)
     if np.any(primes[1:] < primes[:-1]):  # an ascending P_g table needs no sorted copy
         primes = np.sort(primes)
-    counts = _fold_counts(xs, lambda lo, hi: _window_counts(_pfree_window(primes, lo, hi), lo, xs))
-    return Checkpoints(xs=xs, counts=counts, label=label)
+    counts = np.zeros(len(xs), dtype=np.int64)
+    for lo, hi in _windows(0, xs[-1] + 1):
+        counts += _window_counts(_pfree_window(primes, lo, hi), lo, xs)
+    return Checkpoints(xs=xs, counts=tuple(counts.tolist()), label=label)
 
 
 def pg_free_counts(g: int, N: int, x_max: int, checkpoints) -> Checkpoints:
@@ -437,51 +420,50 @@ def _scan_sample_check(n: int, x_max: int) -> None:
 
     Draws 16 radicands (fewer if the range holds fewer) with
     random.Random(f"{n}:{x_max}") from the admissible k in ascending order,
-    then the same k negated, and raises ConsistencyError when the product of
-    their table entries differs from full saturation at the primes dividing n.
+    then the same k negated, saturates each at the primes dividing n, and
+    raises ConsistencyError when the pattern the scan tiles for the index g
+    that saturation gives does not hold at |m|.
     """
-    total = _admissible_counts([np.ones(1, dtype=bool)], (x_max,))[0]
+    total = _admissible_counts(np.ones((1, 1), dtype=bool), (x_max,))[0]
     draws = random.Random(f"{n}:{x_max}").sample(range(2 * total), min(16, 2 * total))
     ks = _admissible_at({i % total for i in draws}, x_max)
     candidates = prime_divisors(n)
-    tables = [_local_index_table(n, p) for p in candidates]
     for i in draws:
         m = ks[i] if i < total else -ks[i - total]
         g, _ = equation_order_index(pure_poly(n, m), candidates)
-        g_table = math.prod(t[m % len(t)] for t in tables)
-        if g != g_table:
+        pos, neg = _periodic(_index_tables(n, g), x_max)
+        pattern = neg if m < 0 else pos
+        if not pattern[abs(m) % len(pattern)]:
             raise ConsistencyError(
-                f"local index tables give g={g_table} for n={n}, m={m}; saturation gives {g}"
+                f"local index tables exclude n={n}, m={m} from index {g}; saturation gives {g}"
             )
 
 
 def _index_windows(n: int, x_max: int, g: int):
     """Per window of 0 <= k <= x_max: lo, the masks of the k at which m = k
     and m = -k are radicands (squarefree, k >= 2) of index g, and the P_g-free
-    mask.  The index pattern is compared with g before it is tiled."""
-    tables = [np.array(_local_index_table(n, p), dtype=np.int64) for p in prime_divisors(n)]
+    mask."""
     pg = _pg_table(g, n * (n - 1) // 2, x_max)[1]
-    tiles = [_tiler(_periodic(tables, x_max, s, np.multiply) == g, x_max) for s in (1, -1)]
-    for lo, hi in _windows(0, x_max + 1):
-        sf = _squarefree_window(lo, hi)
-        yield lo, [sf & tile(lo, hi) for tile in tiles], _pfree_window(pg, lo, hi)
+    for lo, hi, radicands in _radicand_windows(_periodic(_index_tables(n, g), x_max), x_max):
+        yield lo, radicands, _pfree_window(pg, lo, hi)
 
 
 def exceptional_scan(n: int, x_max: int, checkpoints) -> ExceptionalScanReport:
     """Per-index table of P_g-free radicands against all radicands of that index.
 
     Scans squarefree m with 2 <= |m| <= x_max over both signs.  The index
-    g(m) is the product over p | n of local indices g_p, each read from a
-    closed-form table over m mod p^(v_p(n)+1) (purefield._local_index_table),
-    so the index values are known before the scan, and each g > 1 is folded
-    over the windows in turn (_index_windows).  Three guards raise
+    values are the products of local index table entries over p | n
+    (purefield._local_index_table), known before the scan, and each g > 1
+    is folded over the windows in turn (_index_windows).  Three guards raise
     ConsistencyError: each table must agree with the congruence criterion at
     every residue, every residue class is confirmed by saturating one member
-    before the scan (once per process), and 16 seeded radicands per scan must
-    get the same index from full saturation.  A radicand of index g is
-    P_g-free when no multiple-marking pass over the primes of P_g up to
-    x_max touches |m|.
+    before the scan (once per process), and the pattern of the index that
+    full saturation gives must hold at each of 16 seeded radicands per scan.
+    A radicand of index g is P_g-free when no multiple-marking pass over the
+    primes of P_g up to x_max touches |m|.
     """
+    if n < 2:
+        raise ValueError("degree must be >= 2")
     xs = _validate_checkpoints(checkpoints, x_max)
     values = {1}
     for p in prime_divisors(n):

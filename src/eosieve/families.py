@@ -17,7 +17,6 @@ import numpy as np
 
 from .arith import _prime_windows, factorize, is_squarefree, prime_array, prime_divisors
 from .errors import ConsistencyError, FactorizationError
-from .experiments import _criterion_table
 from .obstruction import kummer_data
 from .orders import (
     EquationOrder,
@@ -26,7 +25,7 @@ from .orders import (
     order_index,
     poly_disc_resultant,
 )
-from .purefield import alpha_monogenic, pure_poly
+from .purefield import _index_tables, alpha_monogenic, pure_poly
 
 __all__ = [
     "EulerProductBracket",
@@ -310,11 +309,11 @@ def thin_family_check(n: int, c: int, q: int) -> ThinFamilyReport:
 
 def thin_member_density(n: int, c: int, limit: int) -> tuple[int, int, float]:
     """(members, primes, ratio) among primes up to limit, counted window by window."""
-    if n < 4 or c < 2:
-        raise ValueError("requires n >= 4 and c >= 2")
-    # for q not dividing p, q^(p-1) != 1 mod p^2 exactly when the power-order
-    # criterion holds at q mod p^2
-    tables = [_criterion_table(p) for p in prime_divisors(n)]
+    if n < 4 or c < 2 or c * n >= 2**63 or limit < 2:  # c * n is reduced in int64
+        raise ValueError("requires n >= 4, c >= 2, c * n < 2^63 and limit >= 2")
+    # for q not dividing p, q^(p-1) != 1 mod p^2 exactly when the local index
+    # of x^n - q at p is 1 (the g = 1 table at q mod p^(v_p(n)+1))
+    tables = _index_tables(n, 1)
     members = primes = 0
     for qs in _prime_windows(2, limit + 1):
         keep = (c * n) % qs != 0
@@ -322,7 +321,7 @@ def thin_member_density(n: int, c: int, limit: int) -> tuple[int, int, float]:
             keep &= t[qs % len(t)]
         members += int(np.count_nonzero(keep))
         primes += len(qs)
-    return members, primes, members / primes if primes else float("nan")
+    return members, primes, members / primes
 
 
 def scaled_family_scan(

@@ -4,12 +4,13 @@ Covers binomial irreducibility, the congruence criterion for the power order
 Z[alpha] to be maximal, the closed-form power-order discriminant, and the
 exact index g(m) = [O_K : Z[alpha]] as a product of local indices g_p at
 the primes p | n.  Each g_p is read from a table over m mod p^(v_p(n)+1)
-built from the Jakhar-Khanduja-Sangwan closed form; point queries and range
-scans both read it.  Two guards raise ConsistencyError: every table entry
-must agree with the congruence criterion, and every residue class is
-confirmed, the first time a process reads it, by saturating its smallest
-squarefree member.  pure_maximal_order still saturates, since it returns
-the maximal order itself.
+built from the Jakhar-Khanduja-Sangwan closed form; point queries read it
+and range scans its boolean form "g_p(m) = p^(v_p(g))" (_index_tables).
+Two guards raise ConsistencyError: every table entry must agree with the
+congruence criterion, and every residue class is confirmed, the first time
+a process reads it, by saturating its smallest squarefree member.
+pure_maximal_order still saturates, since it returns the maximal order
+itself.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .arith import integer_nth_root, is_squarefree, prime_divisors, vp
 from .errors import ConsistencyError
@@ -219,6 +222,17 @@ def _local_index_table(n: int, p: int) -> tuple[int, ...]:
                 f"contradicts the congruence criterion"
             )
     return table
+
+
+def _index_tables(n: int, g: int) -> list[np.ndarray]:
+    """Per prime p | n, ascending, the boolean table of "g_p(m) = p^(v_p(g))"
+    over m mod p^(v_p(n)+1), compared in Python ints with _local_index_table.
+    Squarefree m has g(m) = g where all hold; g = 1 is the criterion."""
+    tables = []
+    for p in prime_divisors(n):
+        local = p ** vp(g, p)
+        tables.append(np.array([t == local for t in _local_index_table(n, p)], dtype=bool))
+    return tables
 
 
 # residue classes (n, p, m mod p^(v_p(n)+1)) whose table entry this process

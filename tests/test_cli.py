@@ -431,6 +431,28 @@ def test_mertens_rejects_a_target_delta_that_is_not_positive(capsys, target):
     assert "target-delta must be > 0" in captured.err
 
 
+@pytest.mark.parametrize("n", ["-4", "0", "1"])
+@pytest.mark.parametrize("name", ["alpha-density", "exceptional"])
+def test_range_experiments_reject_degrees_below_2(capsys, name, n):
+    rc = main(["experiment", name, "--n", n, "--x-max", "1000"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "degree must be >= 2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--limit", "1"], "limit >= 2"), (["--c", "100000000000000000000"], "2^63")],
+)
+def test_thin_rejects_an_empty_range_and_an_oversized_c(capsys, flags, message):
+    rc = main(["family", "thin", *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_exit_code_usage_error():
     assert main(["density", "64", "6", "--budget", "200000"]) == 2
 

@@ -12,7 +12,7 @@ from eosieve.errors import ConsistencyError
 from eosieve.experiments import (
     _FSUM_CHUNK,
     Checkpoints,
-    _criterion_patterns,
+    _periodic,
     _reciprocal_fsum,
     _squarefree_window,
     _strike,
@@ -27,7 +27,7 @@ from eosieve.experiments import (
     pg_free_counts,
 )
 from eosieve.obstruction import obstruction_certificate
-from eosieve.purefield import alpha_monogenic
+from eosieve.purefield import _index_tables, _local_index_table, alpha_monogenic
 
 
 def test_checkpoints_validation():
@@ -72,19 +72,46 @@ def test_alpha_density_small_scale():
     assert rep.checkpoints.counts[-1] == direct
 
 
-# n = 30 tiles a period of 900 with three primes; at n = 210 the period
-# 44100 is longer than the range
+# the g = 1 patterns of the local index tables are the criterion: n = 30
+# tiles a period of 900 with three primes; at n = 210 the period 44100 is
+# longer than the range
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 12, 30, 210])
 def test_criterion_masks_match_alpha_monogenic(n):
     x_max = 2000
     sf = _squarefree_window(0, x_max + 1)
-    pos, neg = (sf & np.resize(p, x_max + 1) for p in _criterion_patterns(n, x_max))
+    pos, neg = (sf & np.resize(p, x_max + 1) for p in _periodic(_index_tables(n, 1), x_max))
     for k in range(2, x_max + 1):
         if is_squarefree(k):
             assert pos[k] == alpha_monogenic(n, k), (n, k)
             assert neg[k] == alpha_monogenic(n, -k), (n, -k)
         else:
             assert not pos[k] and not neg[k], (n, k)
+
+
+# an int64 product of the local indices wraps at n = 48 and n = 60, and the
+# largest local index is 2^63 at n = 64 and 3^40 at n = 81
+@pytest.mark.parametrize("n", [4, 6, 12, 30, 48, 60, 64, 81])
+def test_index_patterns_match_the_exact_product(n):
+    tables = [_local_index_table(n, p) for p in arith.prime_divisors(n)]
+    period = math.prod(len(t) for t in tables)
+    products = [math.prod(t[r % len(t)] for t in tables) for r in range(period)]
+    for g in set(products) - {0}:
+        pos, neg = _periodic(_index_tables(n, g), period - 1)
+        assert pos.tolist() == [products[r] == g for r in range(period)], (n, g)
+        assert neg.tolist() == [products[-r % period] == g for r in range(period)], (n, g)
+
+
+@pytest.mark.parametrize("n", [-4, 0, 1])
+def test_range_scans_reject_degrees_below_2_first(n, monkeypatch):
+    def tables(*args):
+        raise AssertionError("local index tables read for a degree below 2")
+
+    monkeypatch.setattr(experiments, "_index_tables", tables)
+    monkeypatch.setattr(experiments, "_local_index_table", tables)
+    # the degree is checked before the ladder
+    for scan in (alpha_density, exceptional_scan):
+        with pytest.raises(ValueError, match="degree must be >= 2"):
+            scan(n, 1000, [5, 3, 1000])
 
 
 def test_alpha_density_equals_mod4_count():
@@ -179,11 +206,13 @@ def test_exceptional_scan_samples_the_whole_range_draws(n, window, block, monkey
 
 
 def test_exceptional_scan_sample_guard(monkeypatch):
-    import eosieve.experiments as experiments
+    import eosieve.purefield as purefield
 
     # g_2 of the classes 1 and 5 mod 8 swapped: still consistent with the
-    # congruence criterion, so only the sampled saturations can catch it
-    monkeypatch.setattr(experiments, "_local_index_table", lambda n, p: (0, 4, 1, 1, 0, 8, 1, 1))
+    # congruence criterion, and every class counts as confirmed already, so
+    # only the sampled saturations can catch it
+    monkeypatch.setattr(purefield, "_local_index_table", lambda n, p: (0, 4, 1, 1, 0, 8, 1, 1))
+    monkeypatch.setattr(purefield, "_confirmed", {(4, 2, r) for r in range(8)})
     with pytest.raises(ConsistencyError, match="saturation gives"):
         exceptional_scan(4, 2000, [100, 500, 2000])
 

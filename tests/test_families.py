@@ -3,7 +3,6 @@ import math
 import pytest
 
 from eosieve.arith import pow_mod, prime_array, prime_divisors, prime_sieve
-from eosieve.experiments import _criterion_table
 from eosieve.families import (
     ScaledFamily,
     eisenstein_at,
@@ -22,7 +21,7 @@ from eosieve.families import (
     twist_poly,
 )
 from eosieve.orders import MonicPolynomial, poly_disc_resultant
-from eosieve.purefield import pure_poly
+from eosieve.purefield import _index_tables, pure_poly
 
 
 def test_eisenstein_at_examples():
@@ -169,15 +168,30 @@ def test_thin_family_check_examples():
 
 @pytest.mark.parametrize("n", [4, 6, 8, 9, 12])
 def test_criterion_table_is_the_wieferich_test(n):
-    # for q not dividing p: q^(p-1) != 1 mod p^2 exactly when the criterion holds
+    # for q not dividing p: q^(p-1) != 1 mod p^2 exactly when the local index
+    # of x^n - q at p is 1
     qs = prime_array(10**5)
     keep = (2 * n) % qs != 0
-    for p in prime_divisors(n):
+    for p, table in zip(prime_divisors(n), _index_tables(n, 1)):
         coprime = qs[qs % p != 0]
         wieferich_free = pow_mod(coprime % (p * p), p - 1, p * p) != 1
-        assert (_criterion_table(p)[coprime % (p * p)] == wieferich_free).all(), p
+        assert (table[coprime % len(table)] == wieferich_free).all(), p
         keep &= pow_mod(qs % (p * p), p - 1, p * p) != 1
     assert thin_member_density(n, 2, 10**5)[:2] == (int(keep.sum()), len(qs))
+
+
+def test_thin_density_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="limit"):
+        thin_member_density(4, 2, 1)  # no primes, so no ratio
+    with pytest.raises(ValueError, match="2\\^63"):
+        thin_member_density(4, 10**20, 100)
+    with pytest.raises(ValueError, match="2\\^63"):
+        thin_member_density(4, 2**61, 100)
+    # the largest c with c * n < 2^63 still counts exactly
+    c = (2**63 - 1) // 9
+    qs = prime_array(1000).tolist()
+    members = sum(thin_Pn_member(9, c, q) for q in qs)
+    assert thin_member_density(9, c, 1000) == (members, len(qs), members / len(qs))
 
 
 def test_thin_density_matches_product():
