@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -198,7 +199,8 @@ def test_csv_cells_are_written_as_str_writes_them(capsys, monkeypatch, tmp_path)
         (float("nan"), float("inf"), float("-inf")),
         (True, False),
     ]
-    monkeypatch.setitem(cli.RUNNERS, "pset", lambda args: ({}, {}, iter(rows)))
+    leaf = cli.COMMANDS["pset"]._replace(runner=lambda params: ({}, iter(rows)))
+    monkeypatch.setitem(cli.COMMANDS, "pset", leaf)
     expected = "".join(",".join(map(str, r)) + "\n" for r in rows)
     rc, out = _run(capsys, ["pset", "4", "6"])
     assert rc == 0
@@ -479,6 +481,77 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["g"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "invariants 4 13 --seed 1",
+        "pset 4 6 --workers 2",
+        "density 4 6 --limit 40",
+        "coset 4 13 13 --workers 2",
+        "experiment alpha-density --budget 5",
+        "experiment pg-free --n 6",
+        "experiment exceptional --seed 1",
+        "family trinomial --c 3",
+        "family scaled --limit 40",
+        # a flag before the leaf name belongs to no leaf
+        "experiment --n 6 alpha-density",
+    ],
+)
+def test_a_leaf_rejects_a_flag_it_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err or "invalid choice" in captured.err
+
+
+# a quick invocation of every leaf, with JSON output
+_LEAF_ARGV = {
+    "invariants": "invariants 4 13",
+    "pset": "pset 4 6 --limit 40 --format json",
+    "density": "density 4 6 --budget 100000",
+    "coset": "coset 4 13 13 --trials 20",
+    "alpha-density": "experiment alpha-density --x-max 3000",
+    "pg-free": "experiment pg-free --x-max 3000",
+    "mertens": "experiment mertens --x-max 3000",
+    "exceptional": "experiment exceptional --x-max 3000",
+    "trinomial": "family trinomial --t-min -20 --t-max 20",
+    "twist": "family twist --values 2",
+    "thin": "family thin --limit 300 --sample 2",
+    "scaled": "family scaled --t-min -10 --t-max 10",
+}
+
+
+def _leaf_parsers(parser, path=()):
+    """(argv prefix, parser) of every leaf below an argparse parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, (*path, name))
+
+
+def test_every_leaf_echoes_exactly_the_arguments_it_accepts(capsys, monkeypatch):
+    for name in list(os.environ):
+        if name.startswith("EOS_"):
+            monkeypatch.delenv(name)
+    leaves = dict(_leaf_parsers(cli.build_parser()))
+    assert {path[-1] for path in leaves} == set(_LEAF_ARGV)
+    for path, parser in leaves.items():
+        argv = _LEAF_ARGV[path[-1]].split()
+        assert tuple(argv[: len(path)]) == path
+        accepted = {
+            a.dest
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction) and a.dest not in ("format", "out")
+        }
+        rc, out = _run(capsys, argv)
+        assert rc == 0, path
+        assert set(json.loads(out)["params"]) == accepted, path
 
 
 def test_argparse_usage_exit_code():

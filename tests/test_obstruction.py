@@ -413,6 +413,17 @@ def test_local_coset_identity_guard_catches_a_bad_eliminator(monkeypatch):
         local_coset_check(4, 13, 13, trials=50, seed=0)
 
 
+def test_local_coset_identity_guard_covers_the_scalar_path(monkeypatch):
+    import eosieve.obstruction as obstruction
+
+    scalar_det = obstruction._scalar_det
+    monkeypatch.setattr(
+        obstruction, "_scalar_det", lambda b, poly, q: (scalar_det(b, poly, q) + 1) % q
+    )
+    with pytest.raises(ConsistencyError, match="b_1\\^N"):
+        local_coset_check(4, 4294967311, 4294967311, trials=20, seed=0)
+
+
 def test_local_coset_scalar_spot_check_catches_a_disagreement(monkeypatch):
     import eosieve.obstruction as obstruction
 
