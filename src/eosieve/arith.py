@@ -297,26 +297,41 @@ def mod_pow(base: int, exp: int, modulus: int) -> int:
 def pow_mod(base, exp, modulus) -> np.ndarray:
     """Elementwise base**exp mod modulus over broadcast uint64 arrays (at least 1-d).
 
-    The array counterpart of mod_pow: one square-and-multiply pass over the bits of the largest exponent.
-    Every modulus must lie in [1, 2^32), so that the product of two
-    residues fits in uint64.
+    The array counterpart of mod_pow: one left-to-right pass over the k-bit
+    digits of the exponents, from the top digit of the largest one; each
+    digit costs one multiply and k squarings, each followed by %.  Every
+    modulus must lie in [1, 2^32), so that a residue is below 2^32 and the
+    square of one fits in uint64.  A scalar base b < 2^32 multiplies by the
+    unreduced power b^d, read from a table of 2^k entries, with k the largest
+    value <= 4 for which b^(2^k - 1) < 2^32: a residue times b^d then stays
+    below 2^64 too (b = 4 gets 4-bit digits, b = 8 gets 3-bit ones).  Any
+    other base takes single bits, multiplying by base % modulus where the
+    bit is set.
     """
+    b = int(base) if np.ndim(base) == 0 else 1 << 32  # an array base takes single bits
     base, exp, modulus = np.broadcast_arrays(
         *(np.array(a, dtype=np.uint64, ndmin=1, copy=None) for a in (base, exp, modulus))
     )
     if modulus.size and (modulus.min() < 1 or modulus.max() >= 1 << 32):
         raise ValueError("pow_mod requires every modulus in [1, 2^32)")
-    one = np.uint64(1)
+    k = next((j for j in (4, 3, 2) if b ** ((1 << j) - 1) < 1 << 32), 1)
+    table = np.array([b**d for d in range(1 << k)], dtype=np.uint64) if b < 1 << 32 else None
+    factor = base % modulus if table is None else None
+    mask = np.uint64((1 << k) - 1)
     acc = np.ones_like(modulus) % modulus
-    square = base % modulus
-    exp = exp.copy()
-    prod = np.empty_like(acc)
-    while exp.any():
-        np.multiply(acc, square, out=prod)
-        np.remainder(prod, modulus, out=acc, where=(exp & one).astype(bool))
-        exp >>= one
-        np.multiply(square, square, out=square)
-        np.remainder(square, modulus, out=square)
+    bits = int(exp.max()).bit_length() if exp.size else 0
+    for shift in range(k * ((bits - 1) // k), -1, -k):
+        digit = (exp >> np.uint64(shift)) & mask
+        if table is not None:
+            np.multiply(acc, table[digit], out=acc)
+            np.remainder(acc, modulus, out=acc)
+        else:
+            bit = digit.astype(bool)
+            np.multiply(acc, factor, out=acc, where=bit)
+            np.remainder(acc, modulus, out=acc, where=bit)
+        for _ in range(k if shift else 0):
+            np.multiply(acc, acc, out=acc)
+            np.remainder(acc, modulus, out=acc)
     return acc
 
 

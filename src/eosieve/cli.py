@@ -394,9 +394,11 @@ def _run(args) -> int:
         if callable(fields):
             fields = fields()
         text = json.dumps(report | fields, sort_keys=True, indent=2) + "\n"
-    with (
-        open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
-    ) as fh:
+    try:
+        sink = open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise ValueError(f"cannot write the report: {exc}") from exc
+    with sink as fh:
         if text is not None:
             fh.write(text)
         elif callable(csv_rows):

@@ -174,19 +174,25 @@ def in_Pg(q: int, g: int, N: int) -> bool:
 def _pg_window(g: int, N: int, qs: np.ndarray, rng: random.Random) -> tuple[int, np.ndarray]:
     """The candidate count and the P_g members among the primes qs = 1 mod 2N.
 
-    The residue test is one pow_mod pass over the window, with g reduced mod
-    each q by Horner's rule over its 31-bit limbs; 16 candidates drawn with
-    rng (all, if fewer) are recomputed with Python's pow, and a mismatch
-    raises ConsistencyError.
+    g is reduced mod each q by Horner's rule over its 31-bit limbs, which
+    finds the q dividing g.  The residue test is one pow_mod pass over the
+    window, on g itself when g < 2^32 (the same residues, and pow_mod then
+    multiplies by unreduced powers g^d < 2^32) and on the reduced g
+    otherwise; 16 candidates drawn with rng (all, if fewer) are recomputed
+    with Python's pow, and a mismatch raises ConsistencyError.
     """
     qs = qs.astype(np.uint64)
     g_mod = np.zeros_like(qs)
     for shift in range(31 * ((g.bit_length() - 1) // 31), -1, -31):
         limb = np.uint64((g >> shift) & ((1 << 31) - 1))
         g_mod = ((g_mod << np.uint64(31)) + limb) % qs
-    qs = qs[g_mod != 0]  # q > 2N, so q | 2Ng exactly when q | g
-    g_mod = g_mod[g_mod != 0]
-    residues = pow_mod(g_mod, (qs - np.uint64(1)) // np.uint64(N), qs)
+    kept = g_mod != 0  # q > 2N, so q | 2Ng exactly when q | g
+    qs = qs[kept]
+    # g < 2^32 is passed as it is; dropping g_mod then keeps one window-sized
+    # array fewer alive through the pass
+    base = g if g < 1 << 32 else g_mod[kept]
+    del g_mod, kept
+    residues = pow_mod(base, (qs - np.uint64(1)) // np.uint64(N), qs)
     for i in rng.sample(range(len(qs)), min(16, len(qs))):
         q = int(qs[i])
         if int(residues[i]) != pow(g % q, (q - 1) // N, q):

@@ -131,6 +131,69 @@ def test_pow_mod_matches_pow_below_2_32():
     assert pow_mod([2, 3, 4], [0, 5, 2], 7).tolist() == [1, 5, 2]
 
 
+# Scalar bases on either side of each digit width: b^15, b^7 and b^3 below
+# 2^32 give 4-, 3- and 2-bit digits; from 1626 on a base takes single bits,
+# and from 2^32 on it is reduced mod each modulus first.
+EDGE_BASES = [0, 1, 2, 4, 5, 23, 24, 1625, 1626, 2**31, 2**32 - 1, 2**32 + 5, 2**64 - 1]
+EDGE_EXPONENTS = [0, 1, 2, 15, 16, 17, 2**32 - 1, 2**63, 2**64 - 1]
+EDGE_MODULI = [1, 2, 3, 1625, 1626, 65537, 2**31 - 1, 2**32 - 5, 2**32 - 1]
+
+
+@pytest.mark.parametrize("base", EDGE_BASES)
+def test_pow_mod_scalar_base_matches_pow(base):
+    rng = random.Random(base)
+    exp = [rng.randrange(2**64) for _ in range(300)]
+    modulus = [rng.randrange(1, 2**32) for _ in range(300)]
+    got = pow_mod(base, np.array(exp, dtype=np.uint64), modulus)
+    assert got.tolist() == [pow(base, e, m) for e, m in zip(exp, modulus)]
+    # broadcast against a scalar exponent and modulus, and against a column
+    # of exponents and a row of moduli
+    assert pow_mod(base, 2**64 - 1, 2**32 - 5).tolist() == [pow(base, 2**64 - 1, 2**32 - 5)]
+    grid = pow_mod(base, np.array(EDGE_EXPONENTS, dtype=np.uint64)[:, None], EDGE_MODULI)
+    assert grid.tolist() == [[pow(base, e, m) for m in EDGE_MODULI] for e in EDGE_EXPONENTS]
+
+
+def test_pow_mod_array_bases_at_the_edges():
+    base = np.array(EDGE_BASES, dtype=np.uint64)[:, None]
+    exp = np.array(EDGE_EXPONENTS, dtype=np.uint64)[:, None, None]
+    got = pow_mod(base, exp, EDGE_MODULI)
+    assert got.shape == (len(EDGE_EXPONENTS), len(EDGE_BASES), len(EDGE_MODULI))
+    assert got.tolist() == [
+        [[pow(b, e, m) for m in EDGE_MODULI] for b in EDGE_BASES] for e in EDGE_EXPONENTS
+    ]
+
+
+def test_pow_mod_exponent_0_modulus_1_and_empty_arrays():
+    assert pow_mod(4, [0, 0], [1, 7]).tolist() == [0, 1]
+    assert pow_mod([0, 2**64 - 1], 0, [5, 2**32 - 1]).tolist() == [1, 1]
+    assert pow_mod(2**64 - 1, [2**64 - 1, 3], 1).tolist() == [0, 0]
+    for base in (4, 2**40, []):
+        got = pow_mod(base, np.array([], dtype=np.uint64), np.array([], dtype=np.uint64))
+        assert got.dtype == np.uint64 and got.tolist() == []
+    assert pow_mod([], 3, 7).tolist() == []
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=1),
+    ),
+    st.lists(
+        st.tuples(
+            st.one_of(st.integers(0, 40), st.integers(0, 2**64 - 1)),
+            st.one_of(st.integers(1, 40), st.integers(1, 2**32 - 1)),
+        ),
+        max_size=20,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_pow_mod_matches_pow(base, cases):
+    exp = np.array([e for e, _ in cases], dtype=np.uint64)
+    modulus = np.array([m for _, m in cases], dtype=np.uint64)
+    b = base if isinstance(base, int) else base[0]
+    assert pow_mod(base, exp, modulus).tolist() == [pow(b, e, m) for e, m in cases]
+
+
 def test_pow_mod_refuses_a_modulus_of_2_32():
     with pytest.raises(ValueError):
         pow_mod([2], [3], [2**32])

@@ -210,6 +210,22 @@ def test_csv_cells_are_written_as_str_writes_them(capsys, monkeypatch, tmp_path)
     assert target.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_an_out_path_that_cannot_be_opened_exits_2(capsys, monkeypatch, tmp_path, where):
+    target = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    rc = main(["pset", "4", "6", "--limit", "40", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: cannot write the report: ")
+    assert str(target) in captured.err
+    # the same through EOS_OUT
+    monkeypatch.setenv("EOS_OUT", str(target))
+    assert main(["pset", "4", "6", "--limit", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_json_report_is_the_same_on_stdout_and_in_the_out_file(capsys, tmp_path):
     argv = ["coset", "4", "13", "13", "--trials", "50"]
     rc, out = _run(capsys, argv)

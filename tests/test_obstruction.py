@@ -89,9 +89,11 @@ def _candidates(g, N, limit):
     return count, members.tolist()
 
 
-@pytest.mark.parametrize("g", [2, 4, 13 * 37, 2**70 + 3, 3**64])
+@pytest.mark.parametrize("g", [2, 4, 5, 13 * 37, 1626, 2**32 - 5, 2**70 + 3, 3**64])
 def test_pg_candidates_match_scalar_loop(g):
-    # g = 2^70 + 3 and 3^64 do not fit in 64 bits
+    # pow_mod takes g < 2^32 unreduced: 4 on 4-bit digits, 5 on 3-bit ones,
+    # 1626 and 2^32 - 5 on single bits, each above the small candidates q.
+    # 2^70 + 3 and 3^64 do not fit in 64 bits and are reduced mod q first.
     primes = prime_sieve(10**5)
     for N in (2, 3, 6, 28, 66):
         count, members = _candidates(g, N, 10**5)
