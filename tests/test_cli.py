@@ -88,6 +88,11 @@ GOLDEN = [
     ("coset 4 13 13 --trials 1000 --seed 0", "b2f6add97686ca1ab56be4d59e4a2364ecfca6a6d6719ee453051252a8e98be2"),
     ("coset 6 -35 7 --trials 300 --seed 5", "e39daf48639846aba02bd0bda4255127bfc0d7c4d12ebd0c49497a7ec055aeec"),
     ("experiment exceptional --n 13 --x-max 300 --checkpoints 50,100,300", "a78fda8bb32212dae59b00399a3a513b3bd7aedf2272bd8df3cc3a831eb186ca"),
+    # captured while the saturation round still raised x to p^k and ran its
+    # GF(2) kernels through the list elimination: long p = 2 chains and
+    # class confirmations at n = 16, kernels of 64 columns at n = 64
+    ("experiment exceptional --n 16 --x-max 1000", "e118ce623aa279167ebf6829f6b9e6f390030bfff1da8964e06c7b2a28daafe3"),
+    ("invariants 64 3", "35f29e0cdda43c07bb3344c78bd581828786ecdc80e8776e73501e636d981a85"),
 ]
 _VERSION_FIELD = re.compile(r'"version": "[^"]*"')
 

@@ -18,6 +18,9 @@ from eosieve.orders import (
     EquationOrder,
     MonicPolynomial,
     _dedekind_p_maximal,
+    _frobenius_matrix,
+    _gf_echelon,
+    _gf_nullspace,
     _hnf,
     _multiplication_table_cached,
     _poly_mul,
@@ -222,6 +225,7 @@ def test_saturation_matches_enumeration_oracle():
     cases += [(3, m, p) for m in (-10, -7, 6, 10, 17, 19, 26) for p in (2, 3)]
     cases += [(4, m, p) for m in (-15, -7, -3, 5, 13, 17, 33, 73) for p in (2, 3)]
     cases += [(4, 3, 5), (5, 7, 5), (5, -5, 3), (6, 17, 2), (6, 17, 3)]
+    cases += [(8, 21, 2), (8, -7, 2)]  # x^(2^3): the cube of the Frobenius matrix
     for n, m, p in cases:
         poly = pure_poly(n, m)
         power = EquationOrder.power_order(poly)
@@ -263,6 +267,22 @@ def test_equation_order_index_examples():
     assert g == 1
     g, _ = equation_order_index(pure_poly(4, 73), [2])
     assert g == 8  # fixed by the enumeration oracle and the discriminant identity
+
+
+@pytest.mark.parametrize("p", [4, 6, 9])
+def test_saturation_rejects_a_composite_p(p):
+    power = EquationOrder.power_order(X4_13)
+    with pytest.raises(ValueError, match="prime"):
+        p_saturate(power, p)
+    with pytest.raises(ValueError, match="prime"):
+        p_saturate_enumeration(power, p)
+    with pytest.raises(ValueError, match="prime"):
+        equation_order_index(X4_13, [p])
+
+
+def test_equation_order_index_rejects_a_composite_candidate():
+    with pytest.raises(ValueError, match="prime"):
+        equation_order_index(X4_13, [2, 4])
 
 
 def _square_disc_primes(poly):
@@ -670,3 +690,79 @@ def test_back_substitute_flags_the_inexact_right_hand_side(dtype):
     got, exact = orders._back_substitute(basis, rhs.reshape(2, 2, 4))
     assert exact.tolist() == [[True, True], [False, True]]
     assert got.reshape(4, 4)[[0, 1, 3]].tolist() == coords[[0, 1, 3]].tolist()
+
+
+def _frobenius_oracle(table, p):
+    """Rows x^(p^k) mod p, p^k >= n, of every basis element by square-and-multiply
+    with exponent p^k, batched over the basis."""
+    n = len(table)
+    flat_p = table.reshape(n, n * n) % p
+
+    def mul_mod(u, v):
+        uv = (u @ flat_p % p).reshape(n, n, n)
+        return (v[:, None, :] @ uv)[:, 0, :] % p
+
+    e = p
+    while e < n:
+        e *= p
+    power, frob = np.eye(n, dtype=table.dtype), None
+    while e:
+        if e & 1:
+            frob = power if frob is None else mul_mod(frob, power)
+        power = mul_mod(power, power)
+        e >>= 1
+    return frob
+
+
+@pytest.mark.parametrize("n, p", [(5, 2), (8, 2), (4, 3), (10, 3)])
+def test_frobenius_matrix_matches_square_and_multiply(n, p):
+    polys = [MonicPolynomial((-5 * p**e,) + (0,) * (n - 1)) for e in (2, n - 1)]
+    if n % p == 0:
+        polys.append(pure_poly(n, 1 + p**4))
+    checked = 0
+    for poly in polys:
+        for order in _rounds(poly, p):
+            table = _multiplication_table_cached(order) % (p * p)
+            for dtype in (np.int64, object):
+                want = _frobenius_oracle(table.astype(dtype), p).tolist()
+                assert _frobenius_matrix(table.astype(dtype), p).tolist() == want, order
+            checked += 1
+    assert checked > len(polys)
+
+
+def _gf2_matrices(ncols, dtype):
+    """Matrices over GF(2) with ncols columns: n^2 x n of rank at most 3, a
+    random square one, zero, duplicate rows and full rank (the last entry);
+    entries are shifted by even numbers, beyond int64 at dtype object."""
+    rng = np.random.default_rng(ncols)
+    rows = ncols * ncols
+    full = np.vstack([np.eye(ncols, dtype=np.int64), rng.integers(0, 2, (3, ncols))])
+    matrices = [
+        rng.integers(0, 2, (rows, 3)) @ rng.integers(0, 2, (3, ncols)) % 2,
+        rng.integers(0, 2, (ncols, ncols)),
+        np.zeros((rows, ncols), dtype=np.int64),
+        np.repeat(rng.integers(0, 2, (ncols // 2 + 1, ncols)), 3, axis=0),
+        full[rng.permutation(len(full))],
+    ]
+    even = 2 if dtype is np.int64 else 2**64
+    return [
+        m.astype(dtype) + even * rng.integers(-3, 4, m.shape).astype(dtype) for m in matrices
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("ncols", [1, 2, 8, 62, 63, 64, 81])
+def test_gf2_nullspace_is_the_free_column_basis(ncols, dtype):
+    matrices = _gf2_matrices(ncols, dtype)
+    for matrix in matrices:
+        basis = _gf_nullspace(matrix, 2)
+        _, pivots, _ = _gf_echelon(matrix.tolist(), 2)
+        free = [c for c in range(ncols) if c not in pivots]
+        assert len(basis) == len(free)
+        if not basis:
+            continue
+        vectors = np.array(basis, dtype=np.int64)
+        assert set(vectors.flat) <= {0, 1}
+        assert not ((matrix % 2).astype(np.int64) @ vectors.T % 2).any()
+        assert vectors[:, free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
+    assert _gf_nullspace(matrices[-1], 2) == []
