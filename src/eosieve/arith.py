@@ -10,10 +10,11 @@ threads and processes.
 Primes come from one segmented sieve (Bays and Hudson, BIT 1977):
 _sieve_progression returns the primes of a progression a mod M inside a
 window of its terms, striking with base primes up to the square root of the
-window's top taken from the prime table.  The table grows in doubling
-steps, window by window over the odd progression; range scans sieve their
-own progressions (1 mod 2N for the obstruction primes) window by window and
-never hold more than one window of a range.
+window's top taken from the prime table, one cache-sized block of the window
+at a time.  The table grows in doubling steps, window by window over the
+odd progression; range scans sieve their own progressions (1 mod 2N for
+the obstruction primes) window by window and never hold more than one
+window of a range.
 """
 
 from __future__ import annotations
@@ -44,13 +45,18 @@ __all__ = [
     "vp",
 ]
 
-# Trial division never walks past this bound; beyond it, cofactors must be
-# provably prime (directly or as a small perfect power) or we refuse.
+# Trial division never walks past this bound; beyond it, a cofactor must
+# pass is_probable_prime (directly or as a prime square or cube) or we refuse.
 _TRIAL_LIMIT = 10**6
 
 # The range layer works in windows of this many consecutive terms (of a
 # progression, or of the integers), so its memory does not grow with the range.
 _WINDOW = 1 << 22
+
+# A window is struck block by block, each of this many terms (1 MiB of
+# bools), so that the block stays in a core's L2 cache while every base
+# prime strikes it; a 4 MiB window does not.
+_SIEVE_BLOCK = 1 << 20
 
 _prime_cache = np.empty(0, dtype=np.int64)
 _prime_cache_limit = 1
@@ -77,6 +83,11 @@ def _sieve_progression(a: int, M: int, k0: int, k1: int) -> np.ndarray:
     not dividing M strikes the terms divisible by p from p^2 on, so a base
     prime that lies in the progression is kept; base primes dividing M
     divide no term and strike nothing.  The term 1 is not prime.
+
+    The window is struck in blocks of _SIEVE_BLOCK terms.  Before each
+    block, one numpy step rebases every prime's first strike in the window
+    to its first strike at or after the block's start; a strike past the
+    block's end is an empty slice.
     """
     if k1 <= k0:
         return np.empty(0, dtype=np.int64)
@@ -89,8 +100,14 @@ def _sieve_progression(a: int, M: int, k0: int, k1: int) -> np.ndarray:
     roots = (-a % ps) * pow_mod(M % ps, ps - 2, ps).astype(np.int64) % ps
     first = np.maximum(k0, -((a - ps * ps) // M))
     first += (roots - first) % ps
-    for k, p in zip((first - k0).tolist(), ps.tolist()):
-        is_prime[k::p] = False
+    first -= k0
+    steps = ps.tolist()
+    for b0 in range(0, k1 - k0, _SIEVE_BLOCK):
+        block = is_prime[b0 : b0 + _SIEVE_BLOCK]
+        # a strike before the block moves on to its next multiple of p
+        starts = np.maximum(first - b0, (first - b0) % ps)
+        for k, p in zip(starts.tolist(), steps):
+            block[k::p] = False
     return a + M * (k0 + np.flatnonzero(is_prime))
 
 
@@ -224,9 +241,13 @@ def is_probable_prime(n: int) -> bool:
 def factorize(x: int) -> Factorization:
     """Prime factorization of a nonzero integer by trial division.
 
-    Cofactors beyond the trial bound are accepted only when provably prime
-    (including prime squares and cubes); anything else raises
-    FactorizationError rather than returning a wrong answer.  Results are
+    A cofactor that outlives trial division is accepted as a prime (or as
+    a prime square or cube) when it is below _TRIAL_LIMIT^2, where trial
+    division proves it, or when it passes is_probable_prime, which is a
+    proof below psi_13 (about 3.3e24).  Above psi_13 the cofactor is
+    accepted on the 13-base Miller-Rabin test alone: a probable prime, not
+    a proven one (``invariants 4 10^30+57`` factors its radicand so).
+    Any other cofactor raises FactorizationError.  Results are
     cached per argument type (a Factorization is frozen); a refusal is
     raised again on every call, since lru_cache does not cache exceptions.
     """

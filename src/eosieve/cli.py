@@ -31,6 +31,8 @@ from dataclasses import asdict
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from . import __version__
 from .arith import is_probable_prime, is_squarefree, prime_divisors
 from .errors import ConsistencyError, EnumerationLimitError
@@ -62,6 +64,9 @@ ENV_SETTINGS = frozenset(
 )
 # P_g members per pset CSV chunk: each chunk is written as one piece of text
 _PSET_CHUNK = 1 << 14
+# 10, 100, ..., 10^9: an ascending array splits at these into runs of members
+# of one decimal width, 1 to 10 digits
+_DECIMAL_EDGES = 10 ** np.arange(1, 10, dtype=np.int64)
 
 
 def _setting(args, name: str, default, cast):
@@ -130,12 +135,48 @@ def _run_invariants(p):
     return fields, None
 
 
+def _decimal_lines(values: np.ndarray) -> str:
+    """The members of a strictly ascending integer array in [0, 10^10), one
+    decimal line each, as ``str`` writes them.
+
+    Members of one decimal width form a contiguous run, found with one
+    searchsorted against _DECIMAL_EDGES.  Each run fills a (width + 1, count)
+    uint8 block, a row per digit from np.divmod by 10 and a row of newlines,
+    read out member by member.  The text is then checked: a chunk that is
+    not strictly ascending, or whose first or last line is not ``str`` of
+    that member (a member out of range), raises ConsistencyError.
+    """
+    if np.any(values[1:] <= values[:-1]):
+        raise ConsistencyError("pset members are not strictly ascending")
+    bounds = [0, *np.searchsorted(values, _DECIMAL_EDGES).tolist(), len(values)]
+    runs = []
+    for width, (i, j) in enumerate(zip(bounds, bounds[1:]), 1):
+        if i == j:
+            continue
+        block = np.empty((width + 1, j - i), dtype=np.uint8)
+        rest = values[i:j]
+        for row in range(width - 1, -1, -1):
+            rest, block[row] = np.divmod(rest, 10)
+        block[:width] += ord("0")
+        block[width] = ord("\n")
+        runs.append(block.T.tobytes())
+    text = b"".join(runs).decode("ascii")
+    if len(values) and (
+        text[: text.find("\n")] != str(int(values[0]))
+        or text.rsplit("\n", 2)[-2] != str(int(values[-1]))
+    ):
+        raise ConsistencyError("pset lines do not match their members")
+    return text
+
+
 def _run_pset(p):
+    """P_g up to the limit: JSON lists the members, CSV writes one line per
+    member, _PSET_CHUNK members at a time through _decimal_lines."""
     _, members = _pg_table(p["g"], p["N"], p["limit"])
 
     def csv_text():
         for i in range(0, len(members), _PSET_CHUNK):
-            yield "\n".join(map(str, members[i : i + _PSET_CHUNK].tolist())) + "\n"
+            yield _decimal_lines(members[i : i + _PSET_CHUNK])
 
     return lambda: {"primes": members.tolist()}, csv_text
 

@@ -316,9 +316,12 @@ def thin_member_density(n: int, c: int, limit: int) -> tuple[int, int, float]:
     tables = _index_tables(n, 1)
     members = primes = 0
     for qs in _prime_windows(2, limit + 1):
-        keep = (c * n) % qs != 0
-        for t in tables:
+        keep = tables[0][qs % len(tables[0])]
+        for t in tables[1:]:
             keep &= t[qs % len(t)]
+        # only the primes up to c * n can divide it
+        small = qs[: np.searchsorted(qs, c * n, side="right")]
+        keep[: len(small)] &= (c * n) % small != 0
         members += int(np.count_nonzero(keep))
         primes += len(qs)
     return members, primes, members / primes

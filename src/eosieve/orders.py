@@ -9,9 +9,8 @@ Order coordinates come from one batched integer back-substitution over the
 common denominator (n numpy steps for all right-hand sides, a whole
 multiplication table included); an inexact division raises the caller's
 typed error.
-Fractions appear only at the API edge (`basis_element`, `coordinates`) and
-in the enumeration oracle.  numpy arrays carry exact integers only, never
-floats.
+Fractions appear only at the API edge (`basis_element`, `coordinates`).
+numpy arrays carry exact integers only, never floats.
 
 Saturation at a prime p enlarges an order by the elements of p-power
 denominator that are integral, iterating one enlargement round until stable.
@@ -721,24 +720,33 @@ def p_saturate(order: EquationOrder, p: int) -> EquationOrder:
         order = bigger
 
 
-def _charpoly_is_integral(rows_fr) -> bool:
-    """Faddeev-LeVerrier characteristic polynomial, checked for integrality."""
-    n = len(rows_fr)
-    m = [[Fraction(x) for x in row] for row in rows_fr]
-    ak = [row[:] for row in m]
-    coeffs = []
+def _charpoly_is_integral(rows, p: int) -> bool:
+    """Whether the characteristic polynomial of A/p is integral, for the
+    integer matrix A given by its rows.
+
+    Its coefficients are c_k / p^k, where x^n + c_1 x^(n-1) + ... + c_n is
+    the characteristic polynomial of A, so it is integral exactly when p^k
+    divides every c_k.  Faddeev-LeVerrier gives the c_k in integers:
+    M_1 = A, c_k = -tr(M_k) / k (an exact division), and
+    M_(k+1) = A (M_k + c_k I).  The first c_k that fails returns False.
+    """
+    n = len(rows)
+    ak = [row[:] for row in rows]
+    pk = 1
     for step in range(1, n + 1):
-        c = -sum(ak[i][i] for i in range(n)) / step
-        coeffs.append(c)
+        c = -sum(ak[i][i] for i in range(n)) // step
+        pk *= p
+        if c % pk:
+            return False
         if step == n:
             break
         for i in range(n):
             ak[i][i] += c
         ak = [
-            [sum(m[i][t] * ak[t][j] for t in range(n)) for j in range(n)]
+            [sum(rows[i][t] * ak[t][j] for t in range(n)) for j in range(n)]
             for i in range(n)
         ]
-    return all(c.denominator == 1 for c in coeffs)
+    return True
 
 
 def p_saturate_enumeration(
@@ -765,13 +773,10 @@ def p_saturate_enumeration(
             if not any(a):
                 continue
             mx = [
-                [
-                    Fraction(sum(a[i] * table[i][j][k] for i in range(n)), p)
-                    for k in range(n)
-                ]
+                [sum(a[i] * table[i][j][k] for i in range(n)) for k in range(n)]
                 for j in range(n)
             ]
-            if _charpoly_is_integral(mx):
+            if _charpoly_is_integral(mx, p):
                 integral.append(list(a))
         if not integral:
             return order

@@ -8,10 +8,12 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from eosieve import cli
 from eosieve.cli import main
+from eosieve.errors import ConsistencyError
 from eosieve.experiments import ExceptionalScanReport
 
 
@@ -93,6 +95,11 @@ GOLDEN = [
     # class confirmations at n = 16, kernels of 64 columns at n = 64
     ("experiment exceptional --n 16 --x-max 1000", "e118ce623aa279167ebf6829f6b9e6f390030bfff1da8964e06c7b2a28daafe3"),
     ("invariants 64 3", "35f29e0cdda43c07bb3344c78bd581828786ecdc80e8776e73501e636d981a85"),
+    # captured while pset wrote its CSV with str: 13,082 members in one
+    # chunk, widths 2 to 6; and a prime radicand above psi_13, which
+    # factorize accepts on the Miller-Rabin test alone
+    ("pset 4 6 --limit 1000000", "407a3ee9cf0254043a0dfdd80f3e44da53e6679500548a5d26a61648dfe4999c"),
+    ("invariants 4 1000000000000000000000000000057", "e9033b8ba574688dbcd41684338fb264c0c94bea16d238e7e9bafa487ada40c3"),
 ]
 _VERSION_FIELD = re.compile(r'"version": "[^"]*"')
 
@@ -194,6 +201,48 @@ def test_pset_csv_is_the_same_on_stdout_and_in_the_out_file(capsys, tmp_path):
     target = tmp_path / "pset.csv"
     assert main(argv + ["--out", str(target)]) == 0
     assert target.read_bytes() == out.encode()
+
+
+# every edge of the decimal widths, from 0 to the largest uint32
+_WIDTH_EDGES = sorted({0, 2**32 - 1} | {10**k + d for k in range(1, 10) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+def test_pset_writer_matches_str(dtype):
+    values = np.array(_WIDTH_EDGES, dtype=dtype)
+    # the text pset wrote per chunk before the writer: one str line per member
+    assert cli._decimal_lines(values) == "\n".join(map(str, _WIDTH_EDGES)) + "\n"
+    assert cli._decimal_lines(values[:0]) == ""
+    for i in range(len(values)):
+        assert cli._decimal_lines(values[i : i + 1]) == f"{_WIDTH_EDGES[i]}\n"
+        assert cli._decimal_lines(values[i:]) == "".join(f"{x}\n" for x in _WIDTH_EDGES[i:])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [5, 3],
+        [3, 3],
+        # right first and last lines: only the order check catches these
+        [5, 100, 7, 200],
+        [7, 10, 99, 10, 1000],
+        # a member below 0 or above 10 digits
+        [-1, 5],
+        [1, 10**10],
+    ],
+)
+def test_pset_writer_refuses_what_it_cannot_write(values):
+    with pytest.raises(ConsistencyError):
+        cli._decimal_lines(np.array(values, dtype=np.int64))
+
+
+def test_a_pset_writer_failure_exits_3(capsys, monkeypatch):
+    table = (0, np.array([13, 7], dtype=np.uint32))
+    monkeypatch.setattr(cli, "_pg_table", lambda g, N, limit: table)
+    rc = main(["pset", "4", "6", "--limit", "40"])
+    captured = capsys.readouterr()
+    assert rc == 3 and captured.out == ""
+    assert "not strictly ascending" in captured.err
 
 
 def test_csv_cells_are_written_as_str_writes_them(capsys, monkeypatch, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -230,6 +231,42 @@ def test_saturation_matches_enumeration_oracle():
         poly = pure_poly(n, m)
         power = EquationOrder.power_order(poly)
         assert p_saturate(power, p) == p_saturate_enumeration(power, p), (n, m, p)
+
+
+def _charpoly_of_fractions(rows):
+    # the oracle's earlier check: Faddeev-LeVerrier run in Fractions on A/p
+    n = len(rows)
+    ak = [row[:] for row in rows]
+    coeffs = []
+    for step in range(1, n + 1):
+        c = -sum(ak[i][i] for i in range(n)) / step
+        coeffs.append(c)
+        for i in range(n):
+            ak[i][i] += c
+        ak = [[sum(rows[i][t] * ak[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_integer_charpoly_check_matches_fractions(p):
+    rng = random.Random(p)
+    verdicts = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        # p*B plus a part mod p: none, any, or strictly upper triangular
+        # (nilpotent mod p, so c_k = 0 mod p but not always mod p^k)
+        kind = rng.randrange(3)
+        a = [[p * rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        for i, j in itertools.product(range(n), repeat=2):
+            if kind == 1 or (kind == 2 and j > i):
+                a[i][j] += rng.randrange(p)
+        want = all(
+            c.denominator == 1
+            for c in _charpoly_of_fractions([[Fraction(x, p) for x in row] for row in a])
+        )
+        assert orders._charpoly_is_integral(a, p) == want, (a, p)
+        verdicts[kind, want] += 1
+    assert verdicts[2, True] and verdicts[2, False] and verdicts[1, False]
 
 
 def test_saturation_matches_enumeration_on_trinomials():
