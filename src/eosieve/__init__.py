@@ -65,7 +65,6 @@ from .obstruction import (
     in_Pg,
     kummer_data,
     local_coset_check,
-    minus_one_residue_check,
 )
 from .orders import (
     EquationOrder,

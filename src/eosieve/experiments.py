@@ -42,11 +42,9 @@ __all__ = [
     "MertensReport",
     "alpha_density",
     "alpha_density_target",
-    "count_squarefree_not_1_mod_4",
     "exceptional_scan",
     "logpower_fit",
     "mertens_sum",
-    "pfree_count_inclusion_exclusion",
     "pfree_counts_for_primes",
     "pg_free_counts",
 ]
@@ -291,12 +289,6 @@ def alpha_density(n: int, x_max: int, checkpoints) -> AlphaDensityReport:
     return AlphaDensityReport(n=n, checkpoints=cp, densities=densities, target=alpha_density_target(n))
 
 
-def count_squarefree_not_1_mod_4(x_max: int) -> int:
-    """#{m : 2 <= |m| <= x_max, m squarefree, m != 1 mod 4}, both signs."""
-    not_1_mod_4 = np.array([True, False, True, True])
-    return _admissible_counts(_periodic([not_1_mod_4], x_max), (x_max,))[0]
-
-
 def pfree_counts_for_primes(primes, x_max: int, checkpoints, label: str) -> Checkpoints:
     """Counts of 1 <= m <= X untouched by the given primes, by multiple-marking."""
     xs = _validate_checkpoints(checkpoints, x_max)
@@ -318,22 +310,6 @@ def pg_free_counts(g: int, N: int, x_max: int, checkpoints) -> Checkpoints:
     """
     xs = _validate_checkpoints(checkpoints, x_max)  # before enumerating P_g up to x_max
     return pfree_counts_for_primes(_pg_table(g, N, x_max)[1], x_max, xs, f"P_{g}-free (N={N})")
-
-
-def pfree_count_inclusion_exclusion(primes, x: int) -> int:
-    """#{1 <= m <= x : no p in primes divides m} by inclusion-exclusion."""
-    primes = list(primes)
-    total = 0
-    for mask in range(1 << len(primes)):
-        d = 1
-        bits = 0
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                d *= p
-                bits += 1
-        if d <= x:
-            total += (-1) ** bits * (x // d)
-    return total
 
 
 def logpower_fit(cp: Checkpoints) -> FitResult:

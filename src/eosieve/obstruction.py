@@ -41,7 +41,7 @@ from .arith import (
     pow_mod,
 )
 from .errors import AmbiguousSnapError, ConsistencyError
-from .orders import _gf_echelon, _poly_mul, _reduce_mod_poly
+from .orders import _bareiss_det, _poly_mul, _reduce_mod_poly
 from .purefield import binomial_irreducible, pure_index, pure_poly
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "in_Pg",
     "kummer_data",
     "local_coset_check",
-    "minus_one_residue_check",
 ]
 
 
@@ -277,9 +276,10 @@ def obstruction_certificate(n: int, m: int) -> ObstructionCertificate | None:
 
 def _certificate(n: int, m: int, g: int) -> ObstructionCertificate | None:
     """obstruction_certificate for a caller that already holds g = g(m)."""
-    if g == 1:
-        return None
     N = n * (n - 1) // 2
+    # at N = 1 every unit mod q is a first power, so P_g is empty
+    if g == 1 or N < 2:
+        return None
     for q in prime_divisors(m):
         if in_Pg(q, g, N):
             return ObstructionCertificate(
@@ -296,7 +296,8 @@ _COSET_SPOT_CHECKS = 8
 
 
 def _scalar_det(b: list[int], poly, q: int) -> int:
-    """det mod q of the power matrix (rows 1, beta, ..., beta^(n-1)) of beta = b."""
+    """det mod q of the power matrix (rows 1, beta, ..., beta^(n-1)) of beta = b,
+    as the integer determinant mod q: no code shared with _gf_dets."""
     n = len(b)
     # rows 1, beta, ..., beta^(n-1); beta itself needs no reduction
     rows = [[1] + [0] * (n - 1), b]
@@ -304,7 +305,7 @@ def _scalar_det(b: list[int], poly, q: int) -> int:
     for _ in range(n - 2):
         cur = [x % q for x in _reduce_mod_poly(_poly_mul(cur, b), poly)]
         rows.append(cur)
-    return _gf_echelon(rows, q)[2]
+    return _bareiss_det(rows) % q
 
 
 def _power_matrices(bs: np.ndarray, q: int) -> np.ndarray:
@@ -330,7 +331,7 @@ def _power_matrices(bs: np.ndarray, q: int) -> np.ndarray:
 
 def _gf_dets(mats: np.ndarray, q: int) -> np.ndarray:
     """Determinants mod a prime q < 2^32 of a (trials, n, n) uint64 stack of
-    reduced matrices: _gf_echelon's elimination, run on every matrix at once.
+    reduced matrices: Gaussian elimination, run on every matrix at once.
 
     Each matrix takes its own pivot (the first nonzero entry at or below the
     diagonal).  The elimination is fraction-free: rows below the pivot are
@@ -462,11 +463,3 @@ def local_coset_check(
         n=n, m=m, q=q, trials=trials, failures=failures, base_class=1, seed=seed
     )
 
-
-def minus_one_residue_check(q: int, N: int) -> bool:
-    """Whether -1 is an N-th power mod q; always true when q = 1 mod 2N."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if q % (2 * N) != 1:
-        raise ValueError("requires q = 1 mod 2N")
-    return is_nth_power_residue(q - 1, N, q)

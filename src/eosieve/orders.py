@@ -16,13 +16,13 @@ Saturation at a prime p enlarges an order by the elements of p-power
 denominator that are integral, iterating one enlargement round until stable.
 The default round computes the multiplier ring of the p-radical by exact
 arithmetic mod p^2 on integer arrays, with the kernels over GF(p) taken by
-XOR elimination on rows packed into integers at p = 2 and by one Python
-elimination at odd p.  `p_saturate_enumeration` implements the
-brute-force round that adjoins every integral element of denominator p (and
-the products that make the result a ring) and serves as the correctness
-oracle for small p.  Both rounds share the same fixed points (an order
-admits no integral element of denominator p outside itself exactly when it
-is p-maximal), so the two paths converge to the same order.
+XOR elimination on rows packed into integers at p = 2 and by Gauss-Jordan
+elimination on Python rows at odd p.  `p_saturate_enumeration` implements
+the brute-force round that adjoins every integral element of denominator p
+(and the products that make the result a ring) and serves as the
+correctness oracle for small p.  Both rounds share the same fixed points
+(an order admits no integral element of denominator p outside itself
+exactly when it is p-maximal), so the two paths converge to the same order.
 
 A power order is first screened by Dedekind's criterion over GF(p), a few
 polynomial gcds; when it is p-maximal no round runs.  Two guards raise
@@ -418,42 +418,6 @@ def order_disc(order: EquationOrder) -> int:
     return _bareiss_det((table @ np.trace(table, axis1=1, axis2=2)).tolist())
 
 
-def _gf_echelon(matrix, p: int) -> tuple[list[list[int]], list[int], int]:
-    """Row echelon form over GF(p), eliminating below each pivot only.
-
-    Returns (rows, pivot columns, determinant mod p); the determinant is
-    that of a square input and is 0 when its rank is short.
-    """
-    rows = [[a % p for a in row] for row in matrix]
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    pivots: list[int] = []
-    det = 1
-    r = 0
-    for c in range(ncols):
-        for pr in range(r, m):
-            if rows[pr][c]:
-                break
-        else:
-            det = 0
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            det = -det
-        pivot_row = rows[r]
-        det = det * pivot_row[c] % p
-        inv = pow(pivot_row[c], p - 2, p)
-        for i in range(r + 1, m):
-            if rows[i][c]:
-                f = rows[i][c] * inv % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], pivot_row)]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots, det % p
-
-
 def _gf2_nullspace(matrix: np.ndarray) -> list[list[int]]:
     """_gf_nullspace at p = 2, on rows packed into Python ints (bit c for
     column c, 63 columns per int64 product with the powers of two).
@@ -498,31 +462,49 @@ def _gf2_nullspace(matrix: np.ndarray) -> list[list[int]]:
     return basis
 
 
+def _gf_kernel(rows, p: int) -> list[list[int]]:
+    """_gf_nullspace of integer rows at any prime p, by Gauss-Jordan.
+
+    Pivot rows are keyed on their pivot column, each 1 there and 0 at every
+    other pivot column; an incoming row is reduced against them, and full
+    rank returns at once.  Entry f of the row of pivot c is then minus
+    coordinate c of the vector of free column f.
+    """
+    ncols = len(rows[0]) if rows else 0
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        row = [a % p for a in row]
+        for c, pivot_row in pivots.items():
+            if f := row[c]:
+                row = [(x - f * y) % p for x, y in zip(row, pivot_row)]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], p - 2, p)
+        row = [x * inv % p for x in row]
+        for c, pivot_row in pivots.items():
+            if f := pivot_row[lead]:
+                pivots[c] = [(x - f * y) % p for x, y in zip(pivot_row, row)]
+        pivots[lead] = row
+        if len(pivots) == ncols:
+            return []
+    return [
+        [1 if c == f else -pivots[c][f] % p if c in pivots else 0 for c in range(ncols)]
+        for f in range(ncols)
+        if f not in pivots
+    ]
+
+
 def _gf_nullspace(matrix: np.ndarray, p: int) -> list[list[int]]:
     """Basis of {x : matrix . x = 0} over GF(p), one vector per free column.
 
     The vector of free column f is 1 at f, 0 at the other free columns and
     solved at the pivot columns, so the basis is unique; p = 2 packs rows
-    into integers (_gf2_nullspace), odd p take _gf_echelon.
+    into integers (_gf2_nullspace), odd p take _gf_kernel.
     """
     if p == 2:
         return _gf2_nullspace(matrix)
-    rows, pivots, _ = _gf_echelon(matrix.tolist(), p)
-    ncols = len(rows[0]) if rows else 0
-    pivot_set = set(pivots)
-    back = [(rows[ri], pc, pow(rows[ri][pc], p - 2, p)) for ri, pc in enumerate(pivots)]
-    back.reverse()
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [0] * ncols
-        v[fc] = 1
-        for row, pc, inv in back:
-            s = sum(row[c] * v[c] for c in range(pc + 1, ncols) if v[c])
-            v[pc] = -s * inv % p
-        basis.append(v)
-    return basis
+    return _gf_kernel(matrix.tolist(), p)
 
 
 def _frobenius_matrix(table: np.ndarray, p: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from eosieve.cli import main
 from eosieve.experiments import (
     Checkpoints,
     alpha_density,
-    count_squarefree_not_1_mod_4,
     logpower_fit,
     mertens_sum,
     pg_free_counts,
@@ -48,6 +47,7 @@ from eosieve.orders import (
     poly_disc_resultant,
 )
 from eosieve.purefield import binomial_irreducible, pure_maximal_order, pure_poly
+from oracles import count_squarefree_not_1_mod_4
 
 
 @contextmanager

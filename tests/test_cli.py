@@ -168,6 +168,15 @@ def test_invariants_golden_m2(capsys):
     assert payload["g"] == 1 and payload["certificate"] is None
 
 
+def test_invariants_at_degree_two_has_no_certificate(capsys):
+    # N = 1 leaves P_g empty, also when g(5) = 2
+    rc, out = _run(capsys, ["invariants", "2", "5"])
+    assert rc == 0
+    payload = json.loads(out)
+    _validate(payload, "invariants")
+    assert payload["g"] == 2 and payload["certificate"] is None
+
+
 def test_invariants_rejects_non_squarefree(capsys):
     rc = main(["invariants", "4", "12"])
     captured = capsys.readouterr()

@@ -18,16 +18,15 @@ from eosieve.experiments import (
     _strike,
     alpha_density,
     alpha_density_target,
-    count_squarefree_not_1_mod_4,
     exceptional_scan,
     logpower_fit,
     mertens_sum,
-    pfree_count_inclusion_exclusion,
     pfree_counts_for_primes,
     pg_free_counts,
 )
 from eosieve.obstruction import obstruction_certificate
 from eosieve.purefield import _index_tables, _local_index_table, alpha_monogenic
+from oracles import count_squarefree_not_1_mod_4, pfree_count_inclusion_exclusion
 
 
 def test_checkpoints_validation():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eosieve.arith import prime_sieve
+from eosieve.arith import is_nth_power_residue, prime_sieve
 from eosieve.errors import AmbiguousSnapError, ConsistencyError
 from eosieve.obstruction import (
     _COSET_BLOCK,
@@ -20,12 +20,11 @@ from eosieve.obstruction import (
     in_Pg,
     kummer_data,
     local_coset_check,
-    minus_one_residue_check,
     _power_matrices,
     _scalar_det,
 )
-from eosieve.orders import _gf_echelon, _poly_mul, _reduce_mod_poly
-from eosieve.purefield import pure_poly
+from eosieve.orders import _bareiss_det, _poly_mul, _reduce_mod_poly
+from eosieve.purefield import pure_index, pure_poly
 
 
 def test_kummer_data_examples():
@@ -216,6 +215,13 @@ def test_obstruction_certificate_golden():
     assert obstruction_certificate(4, 73) is None
 
 
+@pytest.mark.parametrize("m, g", [(3, 1), (5, 2), (13, 2), (-3, 2)])
+def test_obstruction_certificate_at_degree_two(m, g):
+    # N = 1: every unit mod q is a first power, so P_g is empty
+    assert pure_index(2, m).g == g
+    assert obstruction_certificate(2, m) is None
+
+
 def test_obstruction_certificate_picks_smallest_prime():
     # m = 13 * 3 = 39 = 3 mod 4 is criterion-monogenic, so use a scan instead:
     # collect every certificate over a window and check the soundness chain
@@ -252,14 +258,15 @@ def test_certificate_validation():
 
 @pytest.mark.parametrize("N", [6, 10, 15])
 def test_minus_one_residue_sign_killing(N):
+    # -1 = g^((q-1)/2) for a generator g, an N-th power when 2N | q - 1
     for q in prime_sieve(10**5):
         if q % (2 * N) == 1:
-            assert minus_one_residue_check(q, N), (q, N)
+            assert is_nth_power_residue(q - 1, N, q), (q, N)
 
 
 def test_minus_one_residue_precondition():
     with pytest.raises(ValueError):
-        minus_one_residue_check(11, 6)
+        is_nth_power_residue(10, 6, 11)
 
 
 COSET_INSTANCES = [(4, 13, 13), (5, 7, 7), (6, 11, 11), (4, -13, 13), (6, 55, 11)]
@@ -298,7 +305,7 @@ def test_local_coset_preconditions():
 
 
 def _reference_failures(n, m, q, trials, seed, uniformizer_only):
-    """Failures of local_coset_check by the one-trial-at-a-time loop over _gf_echelon."""
+    """Failures of local_coset_check by the one-trial-at-a-time loop over _bareiss_det."""
     N = n * (n - 1) // 2
     exponent = (q - 1) // math.gcd(N, q - 1)
     poly = pure_poly(n, m)
@@ -313,7 +320,7 @@ def _reference_failures(n, m, q, trials, seed, uniformizer_only):
         for _ in range(n - 2):
             cur = [x % q for x in _reduce_mod_poly(_poly_mul(cur, b), poly)]
             rows.append(cur)
-        if pow(_gf_echelon(rows, q)[2], exponent, q) != 1:
+        if pow(_bareiss_det(rows) % q, exponent, q) != 1:
             failures += 1
     return failures
 
@@ -347,7 +354,7 @@ def test_gf_dets_match_gf_echelon_on_arbitrary_matrices(q):
             perm = rng.sample(range(n), n)
             mats.append([[rng.randrange(1, q) if j == perm[i] else 0 for j in range(n)] for i in range(n)])
         dets = _gf_dets(np.array(mats, dtype=np.uint64), q)
-        assert dets.tolist() == [_gf_echelon(a, q)[2] for a in mats], (q, n)
+        assert dets.tolist() == [_bareiss_det(a) % q for a in mats], (q, n)
 
 
 def test_gf_dets_inverts_once_per_block(monkeypatch):
@@ -369,7 +376,7 @@ def test_gf_dets_inverts_once_per_block(monkeypatch):
     mats += [[row[:1] + [0] + row[2:] for row in mats[0]]]
     dets = _gf_dets(np.array(mats, dtype=np.uint64), q)
     assert len(calls) == 1
-    assert dets.tolist() == [_gf_echelon(a, q)[2] for a in mats]
+    assert dets.tolist() == [_bareiss_det(a) % q for a in mats]
     assert dets[-2] == 0 and dets[-1] == 0
 
 

@@ -20,7 +20,7 @@ from eosieve.orders import (
     MonicPolynomial,
     _dedekind_p_maximal,
     _frobenius_matrix,
-    _gf_echelon,
+    _gf_kernel,
     _gf_nullspace,
     _hnf,
     _multiplication_table_cached,
@@ -787,19 +787,74 @@ def _gf2_matrices(ncols, dtype):
     ]
 
 
+def _assert_free_column_basis(matrix, basis, p):
+    """basis lies in the kernel of matrix mod p, with entries in [0, p), and
+    the vector of free column f is 1 at f, 0 at the other free columns and
+    nonzero elsewhere only at (pivot) columns before f."""
+    if not basis:
+        return
+    vectors = np.array(basis, dtype=np.int64)
+    assert ((vectors >= 0) & (vectors < p)).all()
+    assert not ((matrix % p).astype(np.int64) @ vectors.T % p).any()
+    free = [int(np.flatnonzero(v)[-1]) for v in vectors]
+    assert vectors[:, free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
+
+
 @pytest.mark.parametrize("dtype", [np.int64, object])
 @pytest.mark.parametrize("ncols", [1, 2, 8, 62, 63, 64, 81])
 def test_gf2_nullspace_is_the_free_column_basis(ncols, dtype):
     matrices = _gf2_matrices(ncols, dtype)
     for matrix in matrices:
         basis = _gf_nullspace(matrix, 2)
-        _, pivots, _ = _gf_echelon(matrix.tolist(), 2)
-        free = [c for c in range(ncols) if c not in pivots]
-        assert len(basis) == len(free)
-        if not basis:
-            continue
-        vectors = np.array(basis, dtype=np.int64)
-        assert set(vectors.flat) <= {0, 1}
-        assert not ((matrix % 2).astype(np.int64) @ vectors.T % 2).any()
-        assert vectors[:, free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
+        assert basis == _gf_kernel(matrix.tolist(), 2)
+        _assert_free_column_basis(matrix, basis, 2)
     assert _gf_nullspace(matrices[-1], 2) == []
+
+
+def _gf_matrices(p, ncols, dtype):
+    """(matrix, rank) pairs over GF(p) with ncols columns: zero, rank
+    ncols - 1 and rank 2 of shape n^2 x n, duplicate rows, and full rank,
+    square and n^2 x n; entries are shifted by multiples of p, beyond int64
+    at dtype object."""
+    rng = np.random.default_rng(100 * p + ncols)
+
+    def of_rank(rank, rows):
+        # A (rows x rank) and B (rank x ncols) each hold an identity block
+        a = np.vstack([np.eye(rank, dtype=np.int64), rng.integers(0, p, (rows - rank, rank))])
+        b = np.hstack([np.eye(rank, dtype=np.int64), rng.integers(0, p, (rank, ncols - rank))])
+        return (a @ b % p)[rng.permutation(rows)][:, rng.permutation(ncols)]
+
+    rows = ncols * ncols
+    half = (ncols + 1) // 2
+    matrices = [
+        (np.zeros((rows, ncols), dtype=np.int64), 0),
+        (of_rank(ncols - 1, rows), ncols - 1),
+        (of_rank(min(2, ncols), rows), min(2, ncols)),
+        (np.repeat(of_rank(half, half), 3, axis=0), half),
+        (of_rank(ncols, ncols), ncols),
+        (of_rank(ncols, rows), ncols),
+    ]
+    shift = p if dtype is np.int64 else p * 2**64
+    return [
+        (m.astype(dtype) + shift * rng.integers(-3, 4, m.shape).astype(dtype), rank)
+        for m, rank in matrices
+    ]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+@pytest.mark.parametrize("ncols", [1, 2, 3, 4, 7, 12])
+def test_gf_kernel_is_the_free_column_basis(ncols, p, dtype):
+    for matrix, rank in _gf_matrices(p, ncols, dtype):
+        basis = _gf_kernel(matrix.tolist(), p)
+        assert _gf_nullspace(matrix, p) == basis
+        assert len(basis) == ncols - rank
+        _assert_free_column_basis(matrix, basis, p)
+        if p**ncols > 4096:
+            continue
+        # every kernel vector, by enumeration of GF(p)^ncols
+        space = np.array(list(itertools.product(range(p), repeat=ncols)), dtype=np.int64)
+        kernel = space[~((matrix % p).astype(np.int64) @ space.T % p).any(axis=0)]
+        span = itertools.product(range(p), repeat=len(basis))
+        vectors = np.array(basis, dtype=np.int64).reshape(len(basis), ncols)
+        assert {tuple(np.array(c) @ vectors % p) for c in span} == set(map(tuple, kernel.tolist()))

@@ -7,13 +7,13 @@ import eosieve.arith as arith
 from eosieve.arith import _progression_primes, prime_array
 from eosieve.experiments import (
     alpha_density,
-    count_squarefree_not_1_mod_4,
     exceptional_scan,
     mertens_sum,
     pg_free_counts,
 )
 from eosieve.families import thin_member_density
 from eosieve.obstruction import _pg_table, enumerate_Pg, estimate_delta
+from oracles import count_squarefree_not_1_mod_4
 
 X = 6000
 
