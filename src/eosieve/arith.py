@@ -8,13 +8,14 @@ monotonically and never mutated in place, so they are safe to share across
 threads and processes.
 
 Primes come from one segmented sieve (Bays and Hudson, BIT 1977):
-_sieve_progression returns the primes of a progression a mod M inside a
+_progression_mask marks the primes of a progression a mod M inside a
 window of its terms, striking with base primes up to the square root of the
 window's top taken from the prime table, one cache-sized block of the window
-at a time.  The table grows in doubling steps, window by window over the
-odd progression; range scans sieve their own progressions (1 mod 2N for
-the obstruction primes) window by window and never hold more than one
-window of a range.
+at a time, and _sieve_progression lists them.  The table grows in doubling
+steps, window by window over the odd progression; range scans sieve their
+own progressions (1 mod 2N for the obstruction primes) window by window and
+never hold more than one window of a range.  A scan that only counts primes
+(the thin family) reads the masks and lists nothing.
 """
 
 from __future__ import annotations
@@ -76,8 +77,18 @@ def _windows(start: int, stop: int):
         yield lo, min(lo + _WINDOW, stop)
 
 
-def _sieve_progression(a: int, M: int, k0: int, k1: int) -> np.ndarray:
-    """The primes a + M*k for k0 <= k < k1, as an ascending int64 array.
+def _tiled_windows(pattern: np.ndarray, start: int, stop: int):
+    """Per window [lo, hi) of _windows(start, stop): lo, hi and the window's
+    slice of the pattern (last axis, from index 0) repeated along [0, stop).
+    The pattern is tiled once to a window plus a period."""
+    period = pattern.shape[-1]
+    ext = np.tile(pattern, -(-min(_WINDOW, stop - start) // period) + 1)
+    for lo, hi in _windows(start, stop):
+        yield lo, hi, ext[..., lo % period : lo % period + hi - lo]
+
+
+def _progression_mask(a: int, M: int, k0: int, k1: int) -> np.ndarray:
+    """mask[k - k0] says a + M*k is prime, for k0 <= k < k1.
 
     Requires 0 <= a < M and gcd(a, M) = 1.  Each base prime p <= sqrt(top)
     not dividing M strikes the terms divisible by p from p^2 on, so a base
@@ -90,7 +101,7 @@ def _sieve_progression(a: int, M: int, k0: int, k1: int) -> np.ndarray:
     block's end is an empty slice.
     """
     if k1 <= k0:
-        return np.empty(0, dtype=np.int64)
+        return np.zeros(0, dtype=bool)
     is_prime = np.ones(k1 - k0, dtype=bool)
     if k0 == 0 and a < 2:
         is_prime[0] = False
@@ -108,7 +119,12 @@ def _sieve_progression(a: int, M: int, k0: int, k1: int) -> np.ndarray:
         starts = np.maximum(first - b0, (first - b0) % ps)
         for k, p in zip(starts.tolist(), steps):
             block[k::p] = False
-    return a + M * (k0 + np.flatnonzero(is_prime))
+    return is_prime
+
+
+def _sieve_progression(a: int, M: int, k0: int, k1: int) -> np.ndarray:
+    """The primes a + M*k for k0 <= k < k1, as an ascending int64 array."""
+    return a + M * (k0 + np.flatnonzero(_progression_mask(a, M, k0, k1)))
 
 
 def _progression_primes(a: int, M: int, lo: int, hi: int):

@@ -3,17 +3,23 @@
 Counts are exact: squarefree status and the index g(m) are read off
 residue tables and quadratic sieves, P-freeness is decided by marking
 multiples of the obstruction primes, and the only floating point enters in
-the final density ratios and fits.  Range scans run window by window
-(arith._WINDOW integers at a time): the squarefree mask strikes prime
-squares inside the window, the index mask is the window's slice of a
-pattern built over one period, P-freeness strikes the multiples of the
-obstruction primes inside the window, and the per-window counts at the
-checkpoints are added up; the exceptional scan does so once per index value
-g, holding one P_g at a time.  Memory does not grow with the range beyond
-the obstruction primes themselves.  The pattern of g(m) = g, the criterion
+the final density ratios and fits.  The pattern of g(m) = g, the criterion
 (g = 1) included, is the AND over p | n of the boolean local index tables
-of purefield._index_tables, guarded there and by a seeded sample of
-radicands saturated in every exceptional scan.
+of purefield._index_tables, periodic in |m| with period L = prod(len(t)),
+guarded there and by a seeded sample of radicands saturated in every
+exceptional scan.
+
+alpha-density only counts, and counts without enumerating: the squarefree
+k <= X at which the pattern holds come from a Moebius sum over d <= sqrt(X)
+in O(sqrt(X L)) steps (_pattern_counts), checked against one seeded window
+recounted by sieving.  The scans that test each radicand run window by
+window (arith._WINDOW integers at a time): the squarefree mask strikes
+prime squares inside the window, the index mask is the window's slice of
+the pattern, P-freeness strikes the multiples of the obstruction primes
+inside the window, and the per-window counts at the checkpoints are added
+up; the exceptional scan does so once per index value g, holding one P_g at
+a time.  Memory does not grow with the range beyond the obstruction primes
+themselves.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .arith import _windows, prime_array, prime_divisors
+from .arith import _tiled_windows, _windows, prime_array, prime_divisors
 from .errors import ConsistencyError
 from .obstruction import _pg_table
 from .orders import equation_order_index
@@ -231,13 +237,8 @@ def _periodic(tables, x_max: int) -> np.ndarray:
 def _radicand_windows(patterns: np.ndarray, x_max: int):
     """Per window of 0 <= k <= x_max: lo, hi and, for each row of the periodic
     patterns (one period of 0 <= k <= x_max, as from _periodic), the mask of
-    the squarefree k >= 2 at which it holds.  The patterns are tiled once to
-    a window plus a period, and the window [lo, hi) is their slice at lo mod
-    the period."""
-    period = patterns.shape[1]
-    ext = np.tile(patterns, -(-min(arith._WINDOW, x_max + 1) // period) + 1)
-    for lo, hi in _windows(0, x_max + 1):
-        tiles = ext[:, lo % period : lo % period + hi - lo]
+    the squarefree k >= 2 at which it holds."""
+    for lo, hi, tiles in _tiled_windows(patterns, 0, x_max + 1):
         sf = _squarefree_window(lo, hi)
         masks = [sf & tile for tile in tiles[1:]]
         sf &= tiles[0]  # the first mask is sf itself
@@ -255,14 +256,102 @@ def _window_counts(mask: np.ndarray, lo: int, xs: tuple[int, ...]) -> np.ndarray
     return counts
 
 
+def _mobius(limit: int) -> np.ndarray:
+    """mu(d) for 0 <= d <= limit as int8 (mu(0) = 0), sieved over prime_array.
+
+    A prime p <= sqrt(limit) flips its multiples and clears those of p^2 with
+    two slices; the multiples k * p of the larger primes have k < sqrt(limit)
+    and are flipped one k at a time, all such p at once.
+    """
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    ps = prime_array(limit)
+    root = math.isqrt(limit)
+    for p in ps[ps <= root].tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    large = ps[ps > root]
+    ks = np.arange(1, root + 1)
+    for k, count in zip(ks.tolist(), _count_upto(large, limit // ks).tolist()):
+        mu[k * large[:count]] *= -1
+    return mu
+
+
+# Leftover terms per block in _pattern_counts: each of the block's few int64
+# temporaries takes half the bytes of one arith._WINDOW of bools
+_GATHER_BLOCK = 1 << 18
+
+
+def _pattern_counts(weights: np.ndarray, xs) -> np.ndarray:
+    """For each x in xs, the sum of weights[k % L] over the squarefree
+    2 <= k <= x (0 for x < 2), with L = len(weights).
+
+    By Moebius inversion over the squares d^2 <= x, the sum over squarefree
+    1 <= k <= x is sum_d mu(d) sum_{1 <= j <= x/d^2} weights[d^2 j mod L].
+    With g = gcd(d^2, L) and P = L/g, j -> d^2 j mod L has period P and one
+    period meets each multiple of g once, so the floor(J/P) full periods add
+    weights[::g].sum() each.  The J mod P leftover terms, sum_d min(P, x/d^2)
+    <= about 2 sqrt(x L) of them, are gathered for all d at once in blocks of
+    _GATHER_BLOCK and read off a running prefix sum: the cost is O(sqrt(x L))
+    and no table of size L x L is built.  A leftover index d^2 j mod L is
+    formed from a residue and a j below L, which int64 holds for L < 3 * 10^9.
+    """
+    xs = np.maximum(np.asarray(xs, dtype=np.int64), 0)
+    period = len(weights)
+    mu = _mobius(math.isqrt(int(xs.max())))
+    ds = np.flatnonzero(mu)
+    steps = ds * ds % period
+    g = np.gcd(steps, period)
+    per_period = {v: int(weights[::v].sum()) for v in set(g.tolist())}
+    full, rest = np.divmod(xs // (ds * ds)[:, None], (period // g)[:, None])
+    totals = full * np.array([per_period[v] for v in g.tolist()], dtype=np.int64)[:, None]
+    # the leftover terms j = 1, 2, ... of each d, laid end to end, d after d
+    lengths = rest.max(axis=1)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    total = int(lengths.sum())
+    queries = np.concatenate([starts, (starts[:, None] + rest).ravel()])
+    prefix = np.zeros(len(queries), dtype=np.int64)  # weights gathered before each query
+    done = 0
+    for lo in range(0, total, _GATHER_BLOCK):
+        hi = min(lo + _GATHER_BLOCK, total)
+        first, last = np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi)
+        taken = np.minimum(ends[first:last], hi) - np.maximum(starts[first:last], lo)
+        js = np.arange(lo, hi) - np.repeat(starts[first:last] - 1, taken)
+        run = np.cumsum(weights[np.repeat(steps[first:last], taken) * js % period])
+        inside = (lo <= queries) & (queries < hi)
+        prefix[inside] = done + np.concatenate(([0], run))[queries[inside] - lo]
+        done += int(run[-1])
+    prefix[queries == total] = done
+    totals += prefix[len(ds) :].reshape(rest.shape) - prefix[: len(ds), None]
+    sums = (mu[ds].astype(np.int64)[:, None] * totals).sum(axis=0)
+    return sums - int(weights[1 % period]) * (xs >= 1)  # k = 1 is not admissible
+
+
 def _admissible_counts(patterns, xs: tuple[int, ...]) -> tuple[int, ...]:
     """Checkpoint counts of the squarefree k >= 2 at which a pattern holds,
-    summed over the rows of the patterns (one per sign of m)."""
-    total = np.zeros(len(xs), dtype=np.int64)
-    for lo, _, masks in _radicand_windows(patterns, xs[-1]):
-        total += sum(_window_counts(s, lo, xs) for s in masks)
-        del masks  # not held while the next window is built
-    return tuple(total.tolist())
+    summed over the rows of the patterns (one per sign of m), by
+    _pattern_counts over the row sums.
+
+    Guard: one seeded window of min(2^16, x + 1) consecutive k, x the last
+    checkpoint, is recounted with _squarefree_window and the tiled patterns;
+    a count that differs from the difference of two formula counts raises
+    ConsistencyError.
+    """
+    period = patterns.shape[1]
+    x = xs[-1]
+    size = min(1 << 16, x + 1)
+    lo = random.Random(f"{period}:{x}").randrange(x + 2 - size)
+    weights = patterns.sum(axis=0, dtype=np.uint8)
+    counts = _pattern_counts(weights, (*xs, lo - 1, lo + size - 1))
+    window = _squarefree_window(lo, lo + size)
+    recount = int(weights[(lo + np.flatnonzero(window)) % period].sum())
+    if recount != counts[-1] - counts[-2]:
+        raise ConsistencyError(
+            f"squarefree pattern counts give {counts[-1] - counts[-2]} on "
+            f"[{lo}, {lo + size}) (period {period}); the window recount gives {recount}"
+        )
+    return tuple(counts[:-2].tolist())
 
 
 def alpha_density_target(n: int) -> float:
@@ -277,8 +366,10 @@ def alpha_density(n: int, x_max: int, checkpoints) -> AlphaDensityReport:
     """Two-sided density of radicands whose power order is maximal.
 
     Counts m with |m| <= X, squarefree (hence irreducible at these degrees)
-    and of index 1, which is the congruence criterion at every p | n;
-    densities are counts / (2X).
+    and of index 1, which is the congruence criterion at every p | n, by the
+    Moebius sum of _admissible_counts in O(sqrt(X L)) steps for the period
+    L = n rad(n) of the criterion, listing no radicand; densities are
+    counts / (2X).
     """
     if n < 2:
         raise ValueError("degree must be >= 2")
@@ -418,8 +509,10 @@ def _scan_sample_check(n: int, x_max: int) -> None:
 def _index_windows(n: int, x_max: int, g: int):
     """Per window of 0 <= k <= x_max: lo, the masks of the k at which m = k
     and m = -k are radicands (squarefree, k >= 2) of index g, and the P_g-free
-    mask."""
-    pg = _pg_table(g, n * (n - 1) // 2, x_max)[1]
+    mask.  P_g is empty at N = n(n-1)/2 < 2 (n = 2), where every radicand is
+    P_g-free."""
+    N = n * (n - 1) // 2
+    pg = _pg_table(g, N, x_max)[1] if N >= 2 else np.empty(0, dtype=np.uint32)
     for lo, hi, radicands in _radicand_windows(_periodic(_index_tables(n, g), x_max), x_max):
         yield lo, radicands, _pfree_window(pg, lo, hi)
 

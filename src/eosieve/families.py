@@ -6,6 +6,10 @@ C0 = (-1)^(n(n-1)/2) n^n and C1 = (-1)^((n-1)(n-2)/2) (n-1)^(n-1); every
 admissible parameter t (squarefree t L(t), gcd(t, n(n-1)) = 1) makes the
 power order maximal, and rescaling the generator by c multiplies its index
 by exactly c^(n(n-1)/2).
+
+thin_member_density counts the thin family on prime masks: one strike pass
+per window of the odd progression, the g = 1 pattern laid over it, and no
+list of primes.
 """
 
 from __future__ import annotations
@@ -15,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import _prime_windows, factorize, is_squarefree, prime_array, prime_divisors
+from .arith import (
+    _progression_mask,
+    _tiled_windows,
+    factorize,
+    is_squarefree,
+    prime_array,
+    prime_divisors,
+)
 from .errors import ConsistencyError, FactorizationError
 from .obstruction import kummer_data
 from .orders import (
@@ -308,22 +319,34 @@ def thin_family_check(n: int, c: int, q: int) -> ThinFamilyReport:
 
 
 def thin_member_density(n: int, c: int, limit: int) -> tuple[int, int, float]:
-    """(members, primes, ratio) among primes up to limit, counted window by window."""
+    """(members, primes, ratio) among primes up to limit.
+
+    Counted on the prime masks of the odd progression q = 1 + 2k, one strike
+    pass per window and no listing: a window's primes are its set entries,
+    and its members those at which the g = 1 pattern, tiled over k with
+    period prod(len(t)), also holds.  q = 2 and the member primes up to
+    c * n, the only ones that can divide it, are tested against c * n
+    directly.
+    """
     if n < 4 or c < 2 or c * n >= 2**63 or limit < 2:  # c * n is reduced in int64
         raise ValueError("requires n >= 4, c >= 2, c * n < 2^63 and limit >= 2")
     # for q not dividing p, q^(p-1) != 1 mod p^2 exactly when the local index
     # of x^n - q at p is 1 (the g = 1 table at q mod p^(v_p(n)+1))
     tables = _index_tables(n, 1)
-    members = primes = 0
-    for qs in _prime_windows(2, limit + 1):
-        keep = tables[0][qs % len(tables[0])]
-        for t in tables[1:]:
-            keep &= t[qs % len(t)]
-        # only the primes up to c * n can divide it
-        small = qs[: np.searchsorted(qs, c * n, side="right")]
-        keep[: len(small)] &= (c * n) % small != 0
-        members += int(np.count_nonzero(keep))
-        primes += len(qs)
+    cn = c * n
+    primes = 1  # q = 2, a member when it passes the tables and avoids c * n
+    members = int(cn % 2 == 1 and all(t[2 % len(t)] for t in tables))
+    k1 = (limit + 1) // 2  # the odd q = 1 + 2k <= limit have 1 <= k < k1
+    period = math.prod(len(t) for t in tables)
+    qs = 1 + 2 * np.arange(period)
+    pattern = np.logical_and.reduce([t[qs % len(t)] for t in tables])
+    for k0, hi, tile in _tiled_windows(pattern, 1, k1):
+        mask = _progression_mask(1, 2, k0, hi)
+        primes += int(np.count_nonzero(mask))
+        mask &= tile
+        # the members q <= c * n, the only ones that can divide it
+        small = 1 + 2 * (k0 + np.flatnonzero(mask[: max(0, (cn + 1) // 2 - k0)]))
+        members += int(np.count_nonzero(mask)) - int(np.count_nonzero(cn % small == 0))
     return members, primes, members / primes
 
 

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from eosieve import cli
+from eosieve import cli, experiments
 from eosieve.cli import main
 from eosieve.errors import ConsistencyError
 from eosieve.experiments import ExceptionalScanReport
@@ -399,6 +399,28 @@ def test_experiment_exceptional_never_reads_members(capsys, monkeypatch):
     assert rc == 0
     rc, out = _run(capsys, argv)
     assert rc == 0 and json.loads(out)["rows"]
+
+
+def test_experiment_exceptional_at_degree_2(capsys):
+    # N = n(n-1)/2 = 1: P_g is empty, so every radicand of index 2 is P_g-free
+    rc, out = _run(capsys, ["experiment", "exceptional", "--n", "2", "--x-max", "1000"])
+    assert rc == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["g"] == 2 and row["totals"][-1] > 0
+    assert row["pg_free"] == row["totals"]
+
+
+def test_alpha_density_count_guard_exits_3(capsys, monkeypatch):
+    # a Moebius count off by one at k = 1 (m = -1 meets the n = 4 criterion)
+    counts = experiments._pattern_counts
+
+    def with_k_1(weights, xs):
+        return counts(weights, xs) + int(weights[1 % len(weights)]) * (np.asarray(xs) >= 1)
+
+    monkeypatch.setattr(experiments, "_pattern_counts", with_k_1)
+    rc = main(["experiment", "alpha-density", "--n", "4", "--x-max", "10000"])
+    captured = capsys.readouterr()
+    assert rc == 3 and "window recount" in captured.err
 
 
 def test_family_reports_validate(capsys):

@@ -12,6 +12,8 @@ from eosieve.errors import ConsistencyError
 from eosieve.experiments import (
     _FSUM_CHUNK,
     Checkpoints,
+    _admissible_counts,
+    _pattern_counts,
     _periodic,
     _reciprocal_fsum,
     _squarefree_window,
@@ -26,7 +28,11 @@ from eosieve.experiments import (
 )
 from eosieve.obstruction import obstruction_certificate
 from eosieve.purefield import _index_tables, _local_index_table, alpha_monogenic
-from oracles import count_squarefree_not_1_mod_4, pfree_count_inclusion_exclusion
+from oracles import (
+    admissible_counts_by_windows,
+    count_squarefree_not_1_mod_4,
+    pfree_count_inclusion_exclusion,
+)
 
 
 def test_checkpoints_validation():
@@ -116,6 +122,58 @@ def test_range_scans_reject_degrees_below_2_first(n, monkeypatch):
 def test_alpha_density_equals_mod4_count():
     rep = alpha_density(4, 10**5, [10**3, 10**4, 10**5])
     assert rep.checkpoints.counts[-1] == count_squarefree_not_1_mod_4(10**5)
+
+
+@pytest.mark.parametrize("n", [*range(2, 17), 24, 36, 48, 64, 210, 1000])
+def test_moebius_counts_equal_the_windowed_counts(n):
+    x = 10**5
+    xs = (2, 3, 1000, 44099, 44100, 44101, x)
+    patterns = _periodic(_index_tables(n, 1), x)
+    assert _admissible_counts(patterns, xs) == admissible_counts_by_windows(patterns, xs)
+
+
+def test_moebius_counts_of_arbitrary_patterns():
+    # row sums of 0, 1 and 2 at periods with square factors, a prime period,
+    # and a period longer than the range
+    rng = np.random.default_rng(0)
+    for period in (1, 2, 4, 12, 72, 97, 900, 3000):
+        patterns = rng.random((2, period)) < 0.6
+        xs = (2, 50, 499, 500, 2000)
+        assert _admissible_counts(patterns, xs) == admissible_counts_by_windows(patterns, xs)
+
+
+@pytest.mark.parametrize("n, period", [(6, 36), (210, 44100), (1000, 10**4)])
+def test_moebius_counts_at_square_boundaries_and_a_truncated_period(n, period):
+    # x = d^2 - 1, d^2, d^2 + 1: the d = sqrt(x) term enters; at x_max = 5000
+    # a period longer than the range is cut at x_max + 1
+    x_max = 5000
+    patterns = _periodic(_index_tables(n, 1), x_max)
+    assert patterns.shape[1] == min(period, x_max + 1)
+    xs = (*sorted({d * d + e for d in (2, 3, 6, 30, 70) for e in (-1, 0, 1)}), x_max)
+    assert _admissible_counts(patterns, xs) == admissible_counts_by_windows(patterns, xs)
+
+
+def test_pattern_counts_below_2_are_zero():
+    weights = np.ones(4, dtype=np.uint8)
+    assert _pattern_counts(weights, [-1, 0, 1, 2, 3, 4]).tolist() == [0, 0, 0, 1, 2, 2]
+
+
+@pytest.mark.parametrize("x_max", [10**4, 10**6])
+def test_moebius_count_guard(x_max, monkeypatch):
+    # a Moebius table that drops the d = 5 term changes every count by about
+    # x/25, so the recounted window (at 0, and inside the range) disagrees;
+    # at n = 6 a term d = 2 or 3 would add nothing, since the tables hold
+    # only at squarefree classes
+    mobius = experiments._mobius
+
+    def without_5(limit):
+        mu = mobius(limit)
+        mu[5:6] = 0
+        return mu
+
+    monkeypatch.setattr(experiments, "_mobius", without_5)
+    with pytest.raises(ConsistencyError, match="window recount"):
+        alpha_density(6, x_max, [x_max // 100, x_max // 10, x_max])
 
 
 def test_pg_free_trivial_class_counts_everything():

@@ -22,6 +22,7 @@ from eosieve.families import (
 )
 from eosieve.orders import MonicPolynomial, poly_disc_resultant
 from eosieve.purefield import _index_tables, pure_poly
+from oracles import thin_counts_by_listing
 
 
 def test_eisenstein_at_examples():
@@ -178,6 +179,25 @@ def test_criterion_table_is_the_wieferich_test(n):
         assert (table[coprime % len(table)] == wieferich_free).all(), p
         keep &= pow_mod(qs % (p * p), p - 1, p * p) != 1
     assert thin_member_density(n, 2, 10**5)[:2] == (int(keep.sum()), len(qs))
+
+
+@pytest.mark.parametrize(
+    "n, c",
+    [
+        (4, 2),
+        (6, 5),
+        (5, 3),  # c n = 15 is odd, so q = 2 is a member; 3 and 5 pass the tables
+        (9, 5),  # c n = 45: 3 divides n, 5 divides c
+        (7, 3),
+        (12, 7),
+    ],
+)
+def test_thin_mask_counts_match_the_listing_oracle(n, c):
+    cn = c * n
+    for limit in sorted({2, 3, cn - 1, cn, cn + 1, 1000, 10**4}):
+        members, primes, ratio = thin_member_density(n, c, limit)
+        assert (members, primes) == thin_counts_by_listing(n, c, limit), limit
+        assert ratio == members / primes
 
 
 def test_thin_density_rejects_bad_inputs():

@@ -50,6 +50,8 @@ def _scans(xs):
         "P_2 at N=28": enumerate_Pg(2, 28, 10**5),
         "thin 4": thin_member_density(4, 2, X),
         "thin 6": thin_member_density(6, 5, X),
+        # c n = 15 is odd: q = 2 is a member, and 3 and 5 are struck by c n
+        "thin 5": thin_member_density(5, 3, X),
         "exceptional 4": exceptional,
         # report equality covers the rows; the members are built by their own pass
         "exceptional 4 members": exceptional.members,
