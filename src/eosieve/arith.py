@@ -11,7 +11,7 @@ Primes come from one segmented sieve (Bays and Hudson, BIT 1977):
 _progression_mask marks the primes of a progression a mod M inside a
 window of its terms, striking with base primes up to the square root of the
 window's top taken from the prime table, one cache-sized block of the window
-at a time, and _sieve_progression lists them.  The table grows in doubling
+at a time, and _progression_primes lists them.  The table grows in doubling
 steps, window by window over the odd progression; range scans sieve their
 own progressions (1 mod 2N for the obstruction primes) window by window and
 never hold more than one window of a range.  A scan that only counts primes
@@ -122,42 +122,30 @@ def _progression_mask(a: int, M: int, k0: int, k1: int) -> np.ndarray:
     return is_prime
 
 
-def _sieve_progression(a: int, M: int, k0: int, k1: int) -> np.ndarray:
-    """The primes a + M*k for k0 <= k < k1, as an ascending int64 array."""
-    return a + M * (k0 + np.flatnonzero(_progression_mask(a, M, k0, k1)))
-
-
 def _progression_primes(a: int, M: int, lo: int, hi: int):
     """The primes q = a mod M with lo <= q < hi, ascending, one int64 array
     per window of at most _WINDOW terms of the progression."""
     k0 = max(0, -((a - lo) // M))
     k1 = max(k0, -((a - hi) // M))
     for w0, w1 in _windows(k0, k1):
-        yield _sieve_progression(a, M, w0, w1)
-
-
-def _prime_windows(lo: int, hi: int):
-    """The primes in [lo, hi), ascending, window by window: 2 on its own,
-    then the odd primes (the progression 1 mod 2)."""
-    if lo <= 2 < hi:
-        yield np.array([2], dtype=np.int64)
-    yield from _progression_primes(1, 2, lo, hi)
+        yield a + M * (w0 + np.flatnonzero(_progression_mask(a, M, w0, w1)))
 
 
 def _ensure_primes(limit: int) -> None:
     """Grow the prime table to cover limit, at least doubling it.
 
-    The new primes come window by window from the odd progression; its
-    base primes are read from the table itself, grown first when sqrt(limit)
-    exceeds it, so a cold start recurses down through square roots.
+    The new primes come window by window from the odd progression, after
+    2 on a cold start; its base primes are read from the table itself,
+    grown first when sqrt(limit) exceeds it, so a cold start recurses down
+    through square roots.
     """
     global _prime_cache, _prime_cache_limit
     if limit <= _prime_cache_limit:
         return
     limit = max(limit, 2 * _prime_cache_limit)
-    primes = np.concatenate(
-        [_prime_cache, *_prime_windows(_prime_cache_limit + 1, limit + 1)]
-    )
+    lo = _prime_cache_limit + 1
+    two = [np.array([2], dtype=np.int64)] if lo <= 2 else []
+    primes = np.concatenate([_prime_cache, *two, *_progression_primes(1, 2, lo, limit + 1)])
     primes.setflags(write=False)
     _prime_cache = primes
     _prime_cache_limit = limit

@@ -8,7 +8,7 @@ denominator, so lattice equality is plain structural equality.
 Order coordinates come from one batched integer back-substitution over the
 common denominator (n numpy steps for all right-hand sides, a whole
 multiplication table included); an inexact division raises the caller's
-typed error.
+typed error.  An int64 solve checks itself for overflow (_back_substitute).
 Fractions appear only at the API edge (`basis_element`, `coordinates`).
 numpy arrays carry exact integers only, never floats.
 
@@ -234,9 +234,17 @@ def _back_substitute(basis: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np
     """Integer c with c @ basis = rhs along the last axis of rhs, for a
     lower-triangular integer basis, in n numpy steps.
 
-    Returns the coordinates (rhs's dtype) and the mask of right-hand sides
-    whose every pivot division was exact; the coordinates of the others are
+    Returns the coordinates and the mask of right-hand sides whose every
+    pivot division was exact; the coordinates of the others are
     meaningless.  Entries above the diagonal of the basis are not read.
+
+    The one overflow rule for order coordinates: an int64 solve checks
+    itself afterwards.  Step j forms its products and partial sums from rhs
+    and the coordinates already stored, so with C the largest stored
+    |coordinate| none reaches max|rhs| + n C max|basis|.  While that is below
+    2^62, the first step to wrap would have had exact inputs below that
+    bound, so none wrapped and the result is exact; otherwise the solve is
+    redone on Python integers (dtype object).
     """
     n = len(basis)
     coords = np.zeros_like(rhs)
@@ -246,6 +254,11 @@ def _back_substitute(basis: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np
         s = rhs[..., j] - coords @ basis[:, j]
         coords[..., j] = q = s // basis[j, j]
         exact &= q * basis[j, j] == s
+    if coords.dtype != object:
+        # not np.abs, which leaves -2^63 negative
+        top_rhs, top_c, top_b = (max(int(a.max()), -int(a.min())) for a in (rhs, coords, basis))
+        if top_rhs + n * top_c * top_b >= 1 << 62:
+            return _back_substitute(basis.astype(object), rhs.astype(object))
     return coords, exact
 
 
@@ -338,13 +351,11 @@ class IndexFormValue:
 def _multiplication_table_cached(order: EquationOrder) -> np.ndarray:
     """Read-only (n, n, n) integer array of the structure constants.
 
-    The power order's is P[a, b] = theta^(a+b) mod f.  For Hermite
-    numerators B over d, d^2 e_i e_j is (B @ (B @ P))[i, j] in power
-    coordinates, at most rho = n^2 beta^2 t with beta = max|B|, t = max|P|.
-    When 0 <= B[i][j] < B[j][j] below the diagonal (checked: an order can
-    be built directly), exact pivot steps keep |c_j| <= rho 2^(n-1-j) and
-    every partial sum below beta rho 2^n: int64 while that is below 2^62,
-    Python integers (dtype object) otherwise.
+    The power order's is P[a, b] = theta^(a+b) mod f.  For numerators B
+    over d, d^2 e_i e_j is (B @ (B @ P))[i, j] in power coordinates, whose
+    every entry and partial sum is at most n^2 max|B|^2 max|P|: int64 while
+    that is below 2^62, Python integers (dtype object) otherwise.  The
+    coordinates are solved by _back_substitute, under its overflow rule.
     """
     n = order.degree
     if order.is_power_order():
@@ -356,12 +367,8 @@ def _multiplication_table_cached(order: EquationOrder) -> np.ndarray:
     else:
         power = _multiplication_table_cached(EquationOrder.power_order(order.poly))
         rows = order.basis_numerators
-        hermite = all(rows[j][j] > 0 for j in range(n)) and all(
-            0 <= rows[i][j] < rows[j][j] for j in range(n) for i in range(j + 1, n)
-        )
         beta = max(map(abs, itertools.chain(*rows)))
-        bound = (n * n * beta**3 * int(np.abs(power).max())) << n
-        dtype = np.int64 if hermite and bound < 1 << 62 else object
+        dtype = np.int64 if n * n * beta**2 * int(np.abs(power).max()) < 1 << 62 else object
         basis = np.array(rows, dtype=dtype)
         power = power.astype(dtype, copy=False).reshape(n, n * n)
         num = basis @ (basis @ power).reshape(n, n, n)
@@ -553,13 +560,13 @@ def _saturation_round(order: EquationOrder, p: int) -> EquationOrder:
     e_i acting on I is then B T_i C / p for the table slice T_i; it is
     integral exactly when e_i I lies in I, which B T_i C = 0 mod p tests,
     and mod p it is (B T_i C mod p^2) / p.  B has entries in [0, p] and T
-    and C are reduced below p^2, so no sum of n products reaches n p^4, and
-    solving for C stays below p^2 2^n (as in _multiplication_table_cached):
-    int64 while both are below 2^62, Python integers (dtype object) beyond.
+    and C are reduced below p^2, so no sum of n products reaches n p^4:
+    int64 while that is below 2^62, Python integers (dtype object) beyond.
+    C itself comes from _back_substitute, under its overflow rule.
     """
     n = order.degree
     q = p * p
-    dtype = np.int64 if max(n * q * q, q << n) < 1 << 62 else object
+    dtype = np.int64 if n * q * q < 1 << 62 else object
     table = _multiplication_table_cached(order)
     if dtype is object:
         table = table.astype(object)
@@ -577,7 +584,8 @@ def _saturation_round(order: EquationOrder, p: int) -> EquationOrder:
     c, exact = _back_substitute(b, p * np.eye(n, dtype=dtype))
     if not exact.all():
         raise error
-    action = (b @ table % q) @ (c % q) % q
+    # the solve may have promoted c to dtype object
+    action = (b @ table % q) @ (c % q).astype(dtype, copy=False) % q
     if (action % p).any():
         raise error
     # rows (j, t), columns i: coordinate t of e_i b_j in the basis of I

@@ -95,6 +95,10 @@ GOLDEN = [
     # class confirmations at n = 16, kernels of 64 columns at n = 64
     ("experiment exceptional --n 16 --x-max 1000", "e118ce623aa279167ebf6829f6b9e6f390030bfff1da8964e06c7b2a28daafe3"),
     ("invariants 64 3", "35f29e0cdda43c07bb3344c78bd581828786ecdc80e8776e73501e636d981a85"),
+    # captured while a priori bounds with a factor 2^n chose the dtype of
+    # order coordinates, which ran these two partly on dtype object
+    ("invariants 81 2", "94ecd36f72a0bcc9f2b6204f9b8d94fc055c789407ba23ee8de08f16b8992890"),
+    ("invariants 48 129", "830827a759d87c621a6af9253c2486d900338353990c8775e73c2a327a9b5359"),
     # captured while pset wrote its CSV with str: 13,082 members in one
     # chunk, widths 2 to 6; and a prime radicand above psi_13, which
     # factorize accepts on the Miller-Rabin test alone

@@ -729,6 +729,66 @@ def test_back_substitute_flags_the_inexact_right_hand_side(dtype):
     assert got.reshape(4, 4)[[0, 1, 3]].tolist() == coords[[0, 1, 3]].tolist()
 
 
+def test_back_substitute_promotes_a_solve_that_reaches_minus_2_to_the_63():
+    # the int64 solve wraps 2^63 to -2^63, where a bound built on np.abs reads 0
+    basis = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 1]], dtype=np.int64)
+    got, exact = orders._back_substitute(basis, np.array([[0, 0, -(2**63)]], dtype=np.int64))
+    assert got.dtype == object
+    assert got.tolist() == [[0, 2**63, -(2**63)]]
+    assert exact.tolist() == [True]
+
+
+def test_back_substitute_in_int64_matches_python_integers():
+    rng = np.random.default_rng(22)
+    kept = promoted = 0
+    for width in (1, 2, 3, 4, 7, 12, 20, 33, 48, 64, 81):
+        for bits in (1, 2, 5, 12, 25, 40):
+            top = (1 << bits) - 1
+            basis = np.tril(rng.integers(-top, top + 1, (width, width)))
+            basis[np.diag_indices(width)] = rng.integers(1, top + 1, width)
+            # exact right-hand sides (coordinates in {-1, 0, 1}) and arbitrary ones
+            coords = rng.integers(-1, 2, (3, width))
+            rhs = np.stack([coords @ basis, rng.integers(-top, top + 1, (3, width))])
+            got, exact = orders._back_substitute(basis, rhs)
+            want, want_exact = orders._back_substitute(basis.astype(object), rhs.astype(object))
+            assert got.tolist() == want.tolist(), (width, bits)
+            assert exact.tolist() == want_exact.tolist(), (width, bits)
+            assert exact[0].all() and got[0].tolist() == coords.tolist()
+            promoted += got.dtype == object
+            kept += got.dtype == np.int64
+    assert kept > 10 and promoted > 10
+
+
+def test_saturation_round_at_degree_64_runs_in_int64(monkeypatch):
+    # n = 64, p = 2: a bound of p^2 2^n on the solve sent this round to dtype object
+    power = EquationOrder.power_order(pure_poly(64, 5))
+    solved = []
+    back_substitute = orders._back_substitute
+
+    def spy(basis, rhs):
+        coords, exact = back_substitute(basis, rhs)
+        solved.append({basis.dtype, rhs.dtype, coords.dtype})
+        return coords, exact
+
+    class ObjectInts:
+        """numpy, as orders sees it, with every int64 array made dtype object"""
+
+        int64 = object
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(orders, "_back_substitute", spy)
+    bigger = _saturation_round(power, 2)
+    assert bigger != power and solved == [{np.dtype(np.int64)}]
+    monkeypatch.setattr(orders, "np", ObjectInts())
+    try:
+        assert _saturation_round(power, 2) == bigger
+    finally:  # drop the object tables cached meanwhile
+        _multiplication_table_cached.cache_clear()
+    assert solved[1:] == [{np.dtype(object)}]
+
+
 def _frobenius_oracle(table, p):
     """Rows x^(p^k) mod p, p^k >= n, of every basis element by square-and-multiply
     with exponent p^k, batched over the basis."""
