@@ -62,13 +62,12 @@ _SIEVE_BLOCK = 1 << 20
 _prime_cache = np.empty(0, dtype=np.int64)
 _prime_cache_limit = 1
 
-# (limit, the primes up to limit as Python ints in runs of _TRIAL_CHUNK, each
-# with its product) for trial division, replaced as one tuple so that readers
-# never see a limit its runs do not cover.  The limit grows in doubling steps
-# (from 2^16, capped at _TRIAL_LIMIT) only when a call needs a larger bound,
-# so the runs never hold the primes of more than twice the largest bound needed.
-_TRIAL_CHUNK = 256
-_trial: tuple[int, list[tuple[list[int], int]]] = (1, [])
+# (limit, the primes up to limit as Python ints) for trial division, replaced
+# as one tuple so that readers never see a limit its list does not cover.  The
+# limit grows in doubling steps (from 2^16, capped at _TRIAL_LIMIT) only when
+# a call needs a larger bound, so the list never holds the primes of more than
+# twice the largest bound needed.
+_trial: tuple[int, list[int]] = (1, [])
 
 
 def _windows(start: int, stop: int):
@@ -160,19 +159,15 @@ def prime_array(limit: int) -> np.ndarray:
     return _prime_cache[:hi]
 
 
-def _trial_chunks(bound: int) -> list[tuple[list[int], int]]:
-    """Runs of Python-int primes with their products, ascending, covering every prime <= bound."""
+def _trial_divisors(bound: int) -> list[int]:
+    """A list of Python-int primes, ascending, covering every prime <= bound."""
     global _trial
-    limit, chunks = _trial
+    limit, primes = _trial
     if bound > limit:
         limit = min(max(bound, 2 * limit, 1 << 16), _TRIAL_LIMIT)
-        # the full runs are kept, and the primes after them cut into new runs
-        chunks = [chunk for chunk in chunks if len(chunk[0]) == _TRIAL_CHUNK]
-        primes = prime_array(limit)[len(chunks) * _TRIAL_CHUNK :].tolist()
-        runs = (primes[i : i + _TRIAL_CHUNK] for i in range(0, len(primes), _TRIAL_CHUNK))
-        chunks += [(run, math.prod(run)) for run in runs]
-        _trial = (limit, chunks)
-    return chunks
+        primes = prime_array(limit).tolist()
+        _trial = (limit, primes)
+    return primes
 
 
 def prime_sieve(limit: int) -> list[int]:
@@ -261,19 +256,13 @@ def factorize(x: int) -> Factorization:
     n = abs(x)
     factors: list[tuple[int, int]] = []
     if n > 1:
-        # a chunk whose product is prime to n is passed over in one gcd
-        for primes, product in _trial_chunks(min(math.isqrt(n), _TRIAL_LIMIT)):
-            if primes[0] ** 2 > n:
+        for p in _trial_divisors(min(math.isqrt(n), _TRIAL_LIMIT)):
+            if p * p > n:
                 break
-            if math.gcd(product, n) == 1:
-                continue
-            for p in primes:
-                if p * p > n:
-                    break
-                if n % p == 0:
-                    e = vp(n, p)
-                    factors.append((p, e))
-                    n //= p**e
+            if n % p == 0:
+                e = vp(n, p)
+                factors.append((p, e))
+                n //= p**e
         if n > 1:
             if n <= _TRIAL_LIMIT**2 or is_probable_prime(n):
                 factors.append((n, 1))

@@ -4,10 +4,9 @@ Counts are exact: squarefree status and the index g(m) are read off
 residue tables and quadratic sieves, P-freeness is decided by marking
 multiples of the obstruction primes, and the only floating point enters in
 the final density ratios and fits.  The pattern of g(m) = g, the criterion
-(g = 1) included, is the AND over p | n of the boolean local index tables
-of purefield._index_tables, periodic in |m| with period L = prod(len(t)),
-guarded there and by a seeded sample of radicands saturated in every
-exceptional scan.
+(g = 1) included, is purefield._index_pattern, periodic in |m| with period
+L = n rad(n), guarded there and by a seeded sample of radicands checked
+against saturation at every p | n in every exceptional scan.
 
 alpha-density only counts, and counts without enumerating: the squarefree
 k <= X at which the pattern holds come from a Moebius sum over d <= sqrt(X)
@@ -36,8 +35,7 @@ from . import arith
 from .arith import _tiled_windows, _windows, prime_array, prime_divisors
 from .errors import ConsistencyError
 from .obstruction import _pg_table
-from .orders import equation_order_index
-from .purefield import _index_tables, _local_index, _local_index_table, pure_poly
+from .purefield import _index_pattern, _index_values, _saturated_index
 
 __all__ = [
     "AlphaDensityReport",
@@ -219,24 +217,9 @@ def _pfree_window(primes: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return free
 
 
-def _periodic(tables, x_max: int) -> np.ndarray:
-    """One period, from k = 0, of the AND over the boolean tables of
-    t[m % len(t)]: row 0 at m = k, row 1 at m = -k.
-
-    The period is prod(len(t)); it is cut at x_max + 1 if the range is
-    shorter.  _radicand_windows lays it over the windows.
-    """
-    period = min(math.prod(len(t) for t in tables), x_max + 1)
-    m = np.outer((1, -1), np.arange(period))
-    pattern = np.ones(m.shape, dtype=bool)
-    for t in tables:
-        pattern &= t[m % len(t)]
-    return pattern
-
-
 def _radicand_windows(patterns: np.ndarray, x_max: int):
     """Per window of 0 <= k <= x_max: lo, hi and, for each row of the periodic
-    patterns (one period of 0 <= k <= x_max, as from _periodic), the mask of
+    patterns (one period of 0 <= k <= x_max, as from _index_pattern), the mask of
     the squarefree k >= 2 at which it holds."""
     for lo, hi, tiles in _tiled_windows(patterns, 0, x_max + 1):
         sf = _squarefree_window(lo, hi)
@@ -374,7 +357,7 @@ def alpha_density(n: int, x_max: int, checkpoints) -> AlphaDensityReport:
     if n < 2:
         raise ValueError("degree must be >= 2")
     xs = _validate_checkpoints(checkpoints, x_max)
-    counts = _admissible_counts(_periodic(_index_tables(n, 1), x_max), xs)
+    counts = _admissible_counts(_index_pattern(n, 1, x_max), xs)
     cp = Checkpoints(xs=xs, counts=counts, label=f"alpha-monogenic n={n}")
     densities = tuple(c / (2 * x) for c, x in zip(counts, xs))
     return AlphaDensityReport(n=n, checkpoints=cp, densities=densities, target=alpha_density_target(n))
@@ -487,18 +470,18 @@ def _scan_sample_check(n: int, x_max: int) -> None:
 
     Draws 16 radicands (fewer if the range holds fewer) with
     random.Random(f"{n}:{x_max}") from the admissible k in ascending order,
-    then the same k negated, saturates each at the primes dividing n, and
-    raises ConsistencyError when the pattern the scan tiles for the index g
-    that saturation gives does not hold at |m|.
+    then the same k negated, and checks each at every prime p | n against
+    its table entry (_saturated_index, since the index of Z[alpha] in its
+    p-saturation is the p-part of g(m)); raises ConsistencyError when the
+    pattern the scan tiles for the product g does not hold at |m|.
     """
     total = _admissible_counts(np.ones((1, 1), dtype=bool), (x_max,))[0]
     draws = random.Random(f"{n}:{x_max}").sample(range(2 * total), min(16, 2 * total))
     ks = _admissible_at({i % total for i in draws}, x_max)
-    candidates = prime_divisors(n)
     for i in draws:
         m = ks[i] if i < total else -ks[i - total]
-        g, _ = equation_order_index(pure_poly(n, m), candidates)
-        pos, neg = _periodic(_index_tables(n, g), x_max)
+        g = math.prod(_saturated_index(n, p, m) for p in prime_divisors(n))
+        pos, neg = _index_pattern(n, g, x_max)
         pattern = neg if m < 0 else pos
         if not pattern[abs(m) % len(pattern)]:
             raise ConsistencyError(
@@ -513,7 +496,7 @@ def _index_windows(n: int, x_max: int, g: int):
     P_g-free."""
     N = n * (n - 1) // 2
     pg = _pg_table(g, N, x_max)[1] if N >= 2 else np.empty(0, dtype=np.uint32)
-    for lo, hi, radicands in _radicand_windows(_periodic(_index_tables(n, g), x_max), x_max):
+    for lo, hi, radicands in _radicand_windows(_index_pattern(n, g, x_max), x_max):
         yield lo, radicands, _pfree_window(pg, lo, hi)
 
 
@@ -522,29 +505,24 @@ def exceptional_scan(n: int, x_max: int, checkpoints) -> ExceptionalScanReport:
 
     Scans squarefree m with 2 <= |m| <= x_max over both signs.  The index
     values are the products of local index table entries over p | n
-    (purefield._local_index_table), known before the scan, and each g > 1
-    is folded over the windows in turn (_index_windows).  Three guards raise
+    (purefield._index_values), known before the scan, and each g > 1 is
+    folded over the windows in turn (_index_windows).  Three guards raise
     ConsistencyError: each table must agree with the congruence criterion at
     every residue, every residue class is confirmed by saturating one member
-    before the scan (once per process), and the pattern of the index that
-    full saturation gives must hold at each of 16 seeded radicands per scan.
+    before the scan (once per process), and each of 16 seeded radicands per
+    scan is saturated at every p | n against its table entry, with the
+    pattern of the product holding at it.
     A radicand of index g is P_g-free when no multiple-marking pass over the
     primes of P_g up to x_max touches |m|.
     """
     if n < 2:
         raise ValueError("degree must be >= 2")
     xs = _validate_checkpoints(checkpoints, x_max)
-    values = {1}
-    for p in prime_divisors(n):
-        table = _local_index_table(n, p)
-        for r in range(len(table)):
-            if r % (p * p):  # confirm every class that holds a squarefree radicand
-                _local_index(n, p, r)
-        values = {g * t for g in values for t in table}
+    values = _index_values(n)
     _scan_sample_check(n, x_max)
     ends = (*xs, x_max)  # the count at x_max says whether g occurs at all
     rows = []
-    for g in sorted(g for g in values if g > 1):
+    for g in values:
         totals = pg_free = 0
         for lo, radicands, free in _index_windows(n, x_max, g):
             totals += sum(_window_counts(s, lo, ends) for s in radicands)

@@ -8,8 +8,8 @@ power order maximal, and rescaling the generator by c multiplies its index
 by exactly c^(n(n-1)/2).
 
 thin_member_density counts the thin family on prime masks: one strike pass
-per window of the odd progression, the g = 1 pattern laid over it, and no
-list of primes.
+per window of the odd progression, the g = 1 pattern of
+purefield._index_pattern laid over it, and no list of primes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .orders import (
     order_index,
     poly_disc_resultant,
 )
-from .purefield import _index_tables, alpha_monogenic, pure_poly
+from .purefield import _index_pattern, alpha_monogenic, pure_poly
 
 __all__ = [
     "EulerProductBracket",
@@ -324,23 +324,21 @@ def thin_member_density(n: int, c: int, limit: int) -> tuple[int, int, float]:
     Counted on the prime masks of the odd progression q = 1 + 2k, one strike
     pass per window and no listing: a window's primes are its set entries,
     and its members those at which the g = 1 pattern, tiled over k with
-    period prod(len(t)), also holds.  q = 2 and the member primes up to
+    period n rad(n), also holds.  q = 2 and the member primes up to
     c * n, the only ones that can divide it, are tested against c * n
     directly.
     """
     if n < 4 or c < 2 or c * n >= 2**63 or limit < 2:  # c * n is reduced in int64
         raise ValueError("requires n >= 4, c >= 2, c * n < 2^63 and limit >= 2")
     # for q not dividing p, q^(p-1) != 1 mod p^2 exactly when the local index
-    # of x^n - q at p is 1 (the g = 1 table at q mod p^(v_p(n)+1))
-    tables = _index_tables(n, 1)
+    # of x^n - q at p is 1: the g = 1 pattern over one whole period n rad(n) <= n^2
+    pattern = _index_pattern(n, 1, n * n)[0]
+    period = len(pattern)
     cn = c * n
-    primes = 1  # q = 2, a member when it passes the tables and avoids c * n
-    members = int(cn % 2 == 1 and all(t[2 % len(t)] for t in tables))
+    primes = 1  # q = 2, a member when it passes the pattern and avoids c * n
+    members = int(cn % 2 == 1 and pattern[2 % period])
     k1 = (limit + 1) // 2  # the odd q = 1 + 2k <= limit have 1 <= k < k1
-    period = math.prod(len(t) for t in tables)
-    qs = 1 + 2 * np.arange(period)
-    pattern = np.logical_and.reduce([t[qs % len(t)] for t in tables])
-    for k0, hi, tile in _tiled_windows(pattern, 1, k1):
+    for k0, hi, tile in _tiled_windows(pattern[(1 + 2 * np.arange(period)) % period], 1, k1):
         mask = _progression_mask(1, 2, k0, hi)
         primes += int(np.count_nonzero(mask))
         mask &= tile

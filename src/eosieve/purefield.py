@@ -4,17 +4,20 @@ Covers binomial irreducibility, the congruence criterion for the power order
 Z[alpha] to be maximal, the closed-form power-order discriminant, and the
 exact index g(m) = [O_K : Z[alpha]] as a product of local indices g_p at
 the primes p | n.  Each g_p is read from a table over m mod p^(v_p(n)+1)
-built from the Jakhar-Khanduja-Sangwan closed form; point queries read it
-and range scans its boolean form "g_p(m) = p^(v_p(g))" (_index_tables).
-Two guards raise ConsistencyError: every table entry must agree with the
-congruence criterion, and every residue class is confirmed, the first time
-a process reads it, by saturating its smallest squarefree member.
-pure_maximal_order still saturates, since it returns the maximal order
-itself.
+built from the Jakhar-Khanduja-Sangwan closed form, and this module is the
+pure family's one index layer: point queries multiply confirmed entries
+(_class_index), the exceptional scan takes its index values from them
+(_index_values), and range scans tile the signed pattern of "g(m) = g"
+(_index_pattern).  Two guards raise ConsistencyError: every entry must agree
+with the congruence criterion, and _saturated_index compares an entry with
+saturation at p, once per residue class and process and at the seeded
+radicands of every exceptional scan.  pure_maximal_order still saturates,
+since it returns the maximal order itself.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -156,7 +159,7 @@ def pure_index(n: int, m: int) -> PureFieldInvariants:
     """Full invariant bundle for the pure field parameters (n, m).
 
     g is the product of the closed-form local indices at the primes p | n
-    (_local_index); no order is saturated beyond the once-per-class
+    (_class_index); no order is saturated beyond the once-per-class
     confirmations.
     """
     _check_radicand(n, m)
@@ -164,19 +167,9 @@ def pure_index(n: int, m: int) -> PureFieldInvariants:
         params=PureFieldParams(n, m),
         irreducible=True,
         alpha_monogenic=alpha_monogenic(n, m),
-        g=math.prod(_local_index(n, p, m) for p in prime_divisors(n)),
+        g=math.prod(_class_index(n, p, m % p ** (vp(n, p) + 1)) for p in prime_divisors(n)),
         power_disc=pure_power_disc(n, m),
     )
-
-
-def _smallest_squarefree_member(r: int, modulus: int) -> int:
-    """The squarefree m = r mod modulus with |m| >= 2 that is least in (|m|, m)."""
-    t = 2
-    while True:
-        for m in (-t, t):
-            if (m - r) % modulus == 0 and is_squarefree(m):
-                return m
-        t += 1
 
 
 def _closed_form(n: int, p: int, r: int) -> int:
@@ -224,38 +217,50 @@ def _local_index_table(n: int, p: int) -> tuple[int, ...]:
     return table
 
 
-def _index_tables(n: int, g: int) -> list[np.ndarray]:
-    """Per prime p | n, ascending, the boolean table of "g_p(m) = p^(v_p(g))"
-    over m mod p^(v_p(n)+1), compared in Python ints with _local_index_table.
-    Squarefree m has g(m) = g where all hold; g = 1 is the criterion."""
-    tables = []
-    for p in prime_divisors(n):
-        local = p ** vp(g, p)
-        tables.append(np.array([t == local for t in _local_index_table(n, p)], dtype=bool))
-    return tables
+def _index_pattern(n: int, g: int, x_max: int) -> np.ndarray:
+    """One period, from k = 0, of "g(m) = g" for squarefree m at m = k (row 0)
+    and m = -k (row 1): the AND over p | n of "g_p(m) = p^(v_p(g))", compared
+    in Python ints on _local_index_table (g = 1 is the criterion).  The period
+    n rad(n) is cut at x_max + 1 if the range is shorter."""
+    tables = [(p ** vp(g, p), _local_index_table(n, p)) for p in prime_divisors(n)]
+    period = min(math.prod(len(t) for _, t in tables), x_max + 1)
+    m = np.outer((1, -1), np.arange(period))
+    pattern = np.ones(m.shape, dtype=bool)
+    for local, table in tables:
+        pattern &= np.array([t == local for t in table], dtype=bool)[m % len(table)]
+    return pattern
 
 
-# residue classes (n, p, m mod p^(v_p(n)+1)) whose table entry this process
-# has confirmed by saturation
-_confirmed: set[tuple[int, int, int]] = set()
-
-
-def _local_index(n: int, p: int, m: int) -> int:
-    """g_p(m) for squarefree m, read from _local_index_table(n, p).
-
-    The first time a process reads a residue class, its entry is confirmed
-    once by saturating the class's smallest squarefree member at p; a
-    mismatch raises ConsistencyError.
-    """
+def _saturated_index(n: int, p: int, m: int) -> int:
+    """g_p(m) for squarefree m by saturating x^n - m at p; ConsistencyError
+    when it differs from the entry of _local_index_table(n, p)."""
     table = _local_index_table(n, p)
     r = m % len(table)
-    if (n, p, r) not in _confirmed:
-        member = _smallest_squarefree_member(r, len(table))
-        g = equation_order_index(pure_poly(n, member), [p])[0]
-        if g != table[r]:
-            raise ConsistencyError(
-                f"closed-form local index {table[r]} at p={p} for n={n}, "
-                f"m = {r} mod {len(table)}; saturation of m = {member} gives {g}"
-            )
-        _confirmed.add((n, p, r))
-    return table[r]
+    g = equation_order_index(pure_poly(n, m), [p])[0]
+    if g != table[r]:
+        raise ConsistencyError(
+            f"closed-form local index {table[r]} at p={p} for n={n}, "
+            f"m = {r} mod {len(table)}; saturation of m = {m} gives {g}"
+        )
+    return g
+
+
+@lru_cache(maxsize=None)
+def _class_index(n: int, p: int, r: int) -> int:
+    """g_p of the residue class r mod p^(v_p(n)+1), which must hold a
+    squarefree radicand, confirmed once per process by _saturated_index at
+    its squarefree member least in (|m|, m).  A class that raises is not
+    cached, so it is checked again on its next read."""
+    modulus = p ** (vp(n, p) + 1)
+    members = (m for t in itertools.count(2) for m in (-t, t) if (m - r) % modulus == 0)
+    return _saturated_index(n, p, next(m for m in members if is_squarefree(m)))
+
+
+def _index_values(n: int) -> list[int]:
+    """Every index value g(m) > 1 of squarefree radicands, ascending: the
+    products of one confirmed class index per p | n."""
+    values = {1}
+    for p in prime_divisors(n):
+        local = {_class_index(n, p, r) for r in range(p ** (vp(n, p) + 1)) if r % (p * p)}
+        values = {g * t for g in values for t in local}
+    return sorted(values - {1})

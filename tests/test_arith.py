@@ -364,6 +364,7 @@ def test_factorize_builds_its_trial_list_a_handful_of_times(cold_prime_tables, m
     assert len(calls) <= 5, calls
 
 
+# the cases sit at a fixed stride of 256 trial primes, across the whole list
 @pytest.mark.parametrize("phase", ["cold", "warm"])
 def test_factorize_at_trial_chunk_boundaries(phase, cold_prime_tables):
     arith = cold_prime_tables
@@ -371,7 +372,7 @@ def test_factorize_at_trial_chunk_boundaries(phase, cold_prime_tables):
         factorize(2**89 - 1)  # a prime above the trial bound: the list covers 10^6
         factorize.cache_clear()
     primes = prime_sieve(10**6)
-    size = arith._TRIAL_CHUNK
+    size = 256
     for k in (1, 2, 50, len(primes) // size - 1):
         last, first = primes[k * size - 1], primes[k * size]
         assert factorize(last * first).factors == ((last, 1), (first, 1)), k
@@ -379,16 +380,15 @@ def test_factorize_at_trial_chunk_boundaries(phase, cold_prime_tables):
         assert factorize(7 * 10**12 * first**2).factors == (
             (2, 12), (5, 12), (7, 1), (first, 2)
         ), k
-        # a prime cofactor q whose p*p > n stop falls inside chunk k, which
-        # its gcd skips, alone and beside a prime below the stop
+        # a prime cofactor q whose p*p > n stop falls inside stride k, alone
+        # and beside a prime below the stop
         below, p = primes[k * size + size // 2 - 1 : k * size + size // 2 + 1]
         q = next(x for x in range(p * p - 2, below * below, -2) if is_probable_prime(x))
         assert factorize(2 * q).factors == ((2, 1), (q, 1)), k
         assert factorize(below * q).factors == ((below, 1), (q, 1)), k
         assert factorize(q).factors == ((q, 1),), k
-    # grown from the cold table in steps that kept the full runs
-    runs = [primes[i : i + size] for i in range(0, len(primes), size)]
-    assert arith._trial == (10**6, [(run, math.prod(run)) for run in runs])
+    # grown from the cold table to the whole list of trial primes
+    assert arith._trial == (10**6, primes)
 
 
 def test_factorize_refusal_above_the_trial_bound_is_unchanged():

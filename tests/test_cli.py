@@ -135,7 +135,7 @@ def test_invariants_saturates_once_per_class(capsys, monkeypatch):
     import eosieve.purefield as purefield
 
     _, plain = _run(capsys, ["invariants", "4", "13"])
-    monkeypatch.setattr(purefield, "_confirmed", set())
+    purefield._class_index.cache_clear()
     saturated = []
     saturate = purefield.equation_order_index
     p_saturate = orders.p_saturate

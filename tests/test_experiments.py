@@ -14,7 +14,6 @@ from eosieve.experiments import (
     Checkpoints,
     _admissible_counts,
     _pattern_counts,
-    _periodic,
     _reciprocal_fsum,
     _squarefree_window,
     _strike,
@@ -27,7 +26,7 @@ from eosieve.experiments import (
     pg_free_counts,
 )
 from eosieve.obstruction import obstruction_certificate
-from eosieve.purefield import _index_tables, _local_index_table, alpha_monogenic
+from eosieve.purefield import _index_pattern, _local_index_table, alpha_monogenic
 from oracles import (
     admissible_counts_by_windows,
     count_squarefree_not_1_mod_4,
@@ -84,7 +83,7 @@ def test_alpha_density_small_scale():
 def test_criterion_masks_match_alpha_monogenic(n):
     x_max = 2000
     sf = _squarefree_window(0, x_max + 1)
-    pos, neg = (sf & np.resize(p, x_max + 1) for p in _periodic(_index_tables(n, 1), x_max))
+    pos, neg = (sf & np.resize(p, x_max + 1) for p in _index_pattern(n, 1, x_max))
     for k in range(2, x_max + 1):
         if is_squarefree(k):
             assert pos[k] == alpha_monogenic(n, k), (n, k)
@@ -101,7 +100,7 @@ def test_index_patterns_match_the_exact_product(n):
     period = math.prod(len(t) for t in tables)
     products = [math.prod(t[r % len(t)] for t in tables) for r in range(period)]
     for g in set(products) - {0}:
-        pos, neg = _periodic(_index_tables(n, g), period - 1)
+        pos, neg = _index_pattern(n, g, period - 1)
         assert pos.tolist() == [products[r] == g for r in range(period)], (n, g)
         assert neg.tolist() == [products[-r % period] == g for r in range(period)], (n, g)
 
@@ -111,8 +110,8 @@ def test_range_scans_reject_degrees_below_2_first(n, monkeypatch):
     def tables(*args):
         raise AssertionError("local index tables read for a degree below 2")
 
-    monkeypatch.setattr(experiments, "_index_tables", tables)
-    monkeypatch.setattr(experiments, "_local_index_table", tables)
+    monkeypatch.setattr(experiments, "_index_pattern", tables)
+    monkeypatch.setattr(experiments, "_index_values", tables)
     # the degree is checked before the ladder
     for scan in (alpha_density, exceptional_scan):
         with pytest.raises(ValueError, match="degree must be >= 2"):
@@ -128,7 +127,7 @@ def test_alpha_density_equals_mod4_count():
 def test_moebius_counts_equal_the_windowed_counts(n):
     x = 10**5
     xs = (2, 3, 1000, 44099, 44100, 44101, x)
-    patterns = _periodic(_index_tables(n, 1), x)
+    patterns = _index_pattern(n, 1, x)
     assert _admissible_counts(patterns, xs) == admissible_counts_by_windows(patterns, xs)
 
 
@@ -147,7 +146,7 @@ def test_moebius_counts_at_square_boundaries_and_a_truncated_period(n, period):
     # x = d^2 - 1, d^2, d^2 + 1: the d = sqrt(x) term enters; at x_max = 5000
     # a period longer than the range is cut at x_max + 1
     x_max = 5000
-    patterns = _periodic(_index_tables(n, 1), x_max)
+    patterns = _index_pattern(n, 1, x_max)
     assert patterns.shape[1] == min(period, x_max + 1)
     xs = (*sorted({d * d + e for d in (2, 3, 6, 30, 70) for e in (-1, 0, 1)}), x_max)
     assert _admissible_counts(patterns, xs) == admissible_counts_by_windows(patterns, xs)
@@ -251,15 +250,16 @@ def test_exceptional_scan_samples_the_whole_range_draws(n, window, block, monkey
     if block:
         monkeypatch.setattr(experiments, "_RANK_BLOCK", block)
     sampled = []
-    pure_poly = experiments.pure_poly
+    saturated_index = experiments._saturated_index
 
-    def recording(n, m):
-        sampled.append(m)
-        return pure_poly(n, m)
+    def recording(n, p, m):
+        sampled.append((m, p))
+        return saturated_index(n, p, m)
 
-    monkeypatch.setattr(experiments, "pure_poly", recording)
+    monkeypatch.setattr(experiments, "_saturated_index", recording)
     exceptional_scan(n, x_max, [100, 1000, x_max])
-    assert sampled == expected
+    # each radicand is saturated at every prime dividing n
+    assert sampled == [(m, p) for m in expected for p in arith.prime_divisors(n)]
 
 
 def test_exceptional_scan_sample_guard(monkeypatch):
@@ -269,16 +269,37 @@ def test_exceptional_scan_sample_guard(monkeypatch):
     # congruence criterion, and every class counts as confirmed already, so
     # only the sampled saturations can catch it
     monkeypatch.setattr(purefield, "_local_index_table", lambda n, p: (0, 4, 1, 1, 0, 8, 1, 1))
-    monkeypatch.setattr(purefield, "_confirmed", {(4, 2, r) for r in range(8)})
-    with pytest.raises(ConsistencyError, match="saturation gives"):
+    monkeypatch.setattr(purefield, "_class_index", lambda n, p, r: (0, 4, 1, 1, 0, 8, 1, 1)[r])
+    with pytest.raises(ConsistencyError, match="p=2 for n=4.*saturation of m = "):
         exceptional_scan(4, 2000, [100, 500, 2000])
+
+
+def test_exceptional_scan_sample_guard_at_each_prime(monkeypatch):
+    import eosieve.purefield as purefield
+
+    # at n = 6 the p = 3 entries of the classes 1 and 2 mod 9 swapped, the
+    # p = 2 table intact, and every class counted as confirmed: only the
+    # sample's saturation at p = 3 can catch it
+    table = purefield._local_index_table
+
+    def swapped(n, p, r=None):
+        t = table(n, p)
+        if (n, p) == (6, 3):
+            t = (t[0], t[2], t[1], *t[3:])
+        return t if r is None else t[r]
+
+    assert table(6, 3)[1:3] == (9, 1)
+    monkeypatch.setattr(purefield, "_local_index_table", swapped)
+    monkeypatch.setattr(purefield, "_class_index", swapped)
+    with pytest.raises(ConsistencyError, match="p=3 for n=6.*saturation of m = "):
+        exceptional_scan(6, 2000, [100, 500, 2000])
 
 
 def test_exceptional_scan_confirms_classes_before_scanning(monkeypatch):
     import eosieve.purefield as purefield
 
     formula = purefield._closed_form
-    monkeypatch.setattr(purefield, "_confirmed", set())
+    purefield._class_index.cache_clear()
     # g_2 of the classes 1 and 5 mod 8 swapped at n = 4 in the closed form
     monkeypatch.setattr(
         purefield,
@@ -307,10 +328,9 @@ def test_exceptional_members_match_certificates(n):
 
 
 def test_exceptional_scan_saturates_once_per_class_plus_the_sample(monkeypatch):
-    import eosieve.experiments as experiments
     import eosieve.purefield as purefield
 
-    monkeypatch.setattr(purefield, "_confirmed", set())
+    purefield._class_index.cache_clear()
     calls = []
     saturate = purefield.equation_order_index
 
@@ -319,10 +339,9 @@ def test_exceptional_scan_saturates_once_per_class_plus_the_sample(monkeypatch):
         return saturate(poly, primes)
 
     monkeypatch.setattr(purefield, "equation_order_index", counting)
-    monkeypatch.setattr(experiments, "equation_order_index", counting)
     exceptional_scan(13, 300, [50, 100, 300])
     classes = 13**2 - 1  # residues mod 13^2 that hold a squarefree radicand
-    assert purefield._confirmed == {(13, 13, r) for r in range(1, 13**2)}
+    assert purefield._class_index.cache_info().currsize == classes
     assert len(calls) <= classes + 16
     calls.clear()
     exceptional_scan(13, 300, [50, 100, 300])  # every class is confirmed already

@@ -1,5 +1,6 @@
 """Range commands at X = 3*10^7 (the exceptional scan at 10^7, where the
-whole range took 716 MB) run within a fixed memory budget.
+whole range took 716 MB) and the degree-48 exceptional scan run within a
+fixed memory budget.
 
 Each command runs in a fresh interpreter that imports the CLI first; the
 growth of its peak resident set (ru_maxrss) over that import-only baseline
@@ -37,6 +38,8 @@ print(rc, (peak - base) / 1024, file=sys.stderr)
         ["pset", "4", "6", "--limit", "30000000"],
         ["density", "4", "6", "--budget", "30000000"],
         ["experiment", "exceptional", "--n", "4", "--x-max", "10000000"],
+        # degree-48 multiplication tables, which the table cache must not hoard
+        ["experiment", "exceptional", "--n", "48", "--x-max", "1000"],
     ],
 )
 def test_range_command_memory_growth_is_bounded(argv):

@@ -188,9 +188,10 @@ def test_quartic_local_index_table():
 @pytest.fixture
 def fresh_tables(monkeypatch):
     """No table built and no residue class confirmed, and none left behind."""
-    monkeypatch.setattr(purefield, "_confirmed", set())
+    purefield._class_index.cache_clear()
     _local_index_table.cache_clear()
     yield
+    purefield._class_index.cache_clear()
     _local_index_table.cache_clear()
 
 
@@ -207,6 +208,19 @@ def test_class_confirmation_guard(monkeypatch, fresh_tables):
     assert pure_index(4, 3).g == 1
     with pytest.raises(ConsistencyError, match="saturation of m = -3 gives 4"):
         pure_index(4, 13)  # 13 = 5 mod 8
+
+
+def test_class_confirmation_is_not_cached_when_it_raises(monkeypatch, fresh_tables):
+    formula = purefield._closed_form
+    monkeypatch.setattr(
+        purefield,
+        "_closed_form",
+        lambda n, p, r: formula(n, p, 6 - r if (n, p) == (4, 2) and r in (1, 5) else r),
+    )
+    for _ in range(2):  # the class 5 mod 8 is saturated again on the second read
+        with pytest.raises(ConsistencyError, match="saturation of m = -3 gives 4"):
+            pure_index(4, 13)
+    assert purefield._class_index.cache_info().currsize == 0
 
 
 def test_local_index_table_criterion_guard(monkeypatch, fresh_tables):
