@@ -350,7 +350,7 @@ def pow_mod(base, exp, modulus) -> np.ndarray:
 
 
 def is_nth_power_residue(g: int, N: int, q: int) -> bool:
-    """Whether g is an N-th power in the unit group mod q.
+    """Whether g is an N-th power in the unit group mod the prime q.
 
     Requires q ≡ 1 (mod N) and gcd(g, q) = 1, in which case the Euler-style
     test g**((q-1)/N) ≡ 1 decides membership in the index-N power subgroup.
@@ -359,6 +359,8 @@ def is_nth_power_residue(g: int, N: int, q: int) -> bool:
         raise ValueError("N must be >= 2")
     if q < 3 or (q - 1) % N != 0:
         raise ValueError(f"is_nth_power_residue requires q ≡ 1 (mod {N}), got q={q}")
+    if not is_probable_prime(q):
+        raise ValueError(f"is_nth_power_residue requires a prime q, got q={q}")
     if g % q == 0:
         raise ValueError("g must be a unit mod q")
     return pow(g % q, (q - 1) // N, q) == 1

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .arith import is_probable_prime, is_squarefree, prime_divisors
+from .arith import is_squarefree, prime_divisors
 from .errors import ConsistencyError, EnumerationLimitError
 from .experiments import (
     alpha_density,
@@ -306,7 +306,7 @@ def _run_thin(p):
     checks = []
     q = 2
     while len(checks) < p["sample"] and q <= limit:
-        if is_probable_prime(q) and thin_Pn_member(n, c, q):
+        if thin_Pn_member(n, c, q):
             rep = thin_family_check(n, c, q)
             checks.append(
                 {

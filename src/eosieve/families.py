@@ -23,6 +23,7 @@ from .arith import (
     _progression_mask,
     _tiled_windows,
     factorize,
+    is_probable_prime,
     is_squarefree,
     prime_array,
     prime_divisors,
@@ -33,7 +34,7 @@ from .orders import (
     EquationOrder,
     MonicPolynomial,
     equation_order_index,
-    order_index,
+    index_form_value,
     poly_disc_resultant,
 )
 from .purefield import _index_pattern, alpha_monogenic, pure_poly
@@ -125,8 +126,8 @@ class ScaledScanReport:
 
 
 def eisenstein_at(poly: MonicPolynomial, q: int) -> bool:
-    """q divides every low coefficient and q^2 does not divide the constant."""
-    if q < 2:
+    """The prime q divides every low coefficient and q^2 not the constant."""
+    if not is_probable_prime(q):
         raise ValueError("q must be a prime >= 2")
     c = poly.coeffs
     return all(x % q == 0 for x in c) and c[0] % (q * q) != 0
@@ -192,11 +193,9 @@ def twist_poly(n: int, c: int, t: int) -> MonicPolynomial:
 
 
 def _scaled_generator_index(poly: MonicPolynomial, c: int) -> int:
-    """Index of Z[c theta] in the power order Z[theta]: the suborder spanned by c^i theta^i."""
-    n = poly.degree
-    rows = [[c**i if j == i else 0 for j in range(n)] for i in range(n)]
-    sub = EquationOrder.from_basis(poly, rows, 1)
-    return order_index(sub, EquationOrder.power_order(poly))
+    """Index of Z[c theta] in Z[theta]: |I(c theta)|, the power order's index form."""
+    beta = (0, c) + (0,) * (poly.degree - 2)
+    return abs(index_form_value(EquationOrder.power_order(poly), beta).value)
 
 
 def twist_index_check(n: int, c: int, t: int) -> int:
@@ -225,7 +224,7 @@ def rho_ell2(n: int, ell: int) -> int:
     """
     if n < 4:
         raise ValueError("requires n >= 4")
-    if ell < 2:
+    if not is_probable_prime(ell):
         raise ValueError("ell must be a prime >= 2")
     if ell > 1000:
         # int64 products a * (c0 + c1 a) stay exact only up to here
@@ -294,12 +293,12 @@ def squarefree_value_count(n: int, t_max: int) -> int:
 
 
 def thin_Pn_member(n: int, c: int, q: int) -> bool:
-    """q avoids c n and is Wieferich-free at every prime p | n."""
+    """q is a prime, avoids c n and is Wieferich-free at every prime p | n."""
     if n < 4 or c < 2:
         raise ValueError("requires n >= 4 and c >= 2")
-    if (c * n) % q == 0:
+    if q < 2 or (c * n) % q == 0:
         return False
-    return all(pow(q, p - 1, p * p) != 1 for p in prime_divisors(n))
+    return all(pow(q, p - 1, p * p) != 1 for p in prime_divisors(n)) and is_probable_prime(q)
 
 
 def thin_family_check(n: int, c: int, q: int) -> ThinFamilyReport:

@@ -41,7 +41,7 @@ from .arith import (
     pow_mod,
 )
 from .errors import AmbiguousSnapError, ConsistencyError
-from .orders import _bareiss_det, _poly_mul, _reduce_mod_poly
+from .orders import EquationOrder, index_form_value
 from .purefield import binomial_irreducible, pure_index, pure_poly
 
 __all__ = [
@@ -162,10 +162,10 @@ def kummer_data(g: int, N: int) -> KummerData:
 
 
 def in_Pg(q: int, g: int, N: int) -> bool:
-    """Membership of the prime q in the obstruction set P_g."""
+    """Membership of q in the obstruction set P_g; False for any q that is not prime."""
     if g < 2 or N < 2:
         raise ValueError("requires g >= 2 and N >= 2")
-    if (2 * N * g) % q == 0 or q % (2 * N) != 1:
+    if q < 2 or (2 * N * g) % q == 0 or q % (2 * N) != 1 or not is_probable_prime(q):
         return False
     return not is_nth_power_residue(g, N, q)
 
@@ -295,19 +295,6 @@ _COSET_BLOCK = 512
 _COSET_SPOT_CHECKS = 8
 
 
-def _scalar_det(b: list[int], poly, q: int) -> int:
-    """det mod q of the power matrix (rows 1, beta, ..., beta^(n-1)) of beta = b,
-    as the integer determinant mod q: no code shared with _gf_dets."""
-    n = len(b)
-    # rows 1, beta, ..., beta^(n-1); beta itself needs no reduction
-    rows = [[1] + [0] * (n - 1), b]
-    cur = b
-    for _ in range(n - 2):
-        cur = [x % q for x in _reduce_mod_poly(_poly_mul(cur, b), poly)]
-        rows.append(cur)
-    return _bareiss_det(rows) % q
-
-
 def _power_matrices(bs: np.ndarray, q: int) -> np.ndarray:
     """The power matrices (rows 1, beta, ..., beta^(n-1)) mod q of the rows of a
     (trials, n) uint64 array, for a prime q < 2^32 dividing the radicand.
@@ -411,10 +398,12 @@ def local_coset_check(
 
     For q < 2^32 the trials run in blocks of _COSET_BLOCK through one numpy
     pass each (_power_matrices, _gf_dets), and _COSET_SPOT_CHECKS seeded
-    trials are recomputed on the scalar path; larger q take the scalar path
-    (_scalar_det) for every trial.  On both paths every determinant must
-    equal b_1^N mod q (the power matrix is triangular in the x-adic
-    filtration of F_q[x]/(x^n)); either guard raises ConsistencyError.
+    trials are recomputed on the scalar path: the exact index form
+    orders.index_form_value on the power order, reduced mod q, which shares
+    no code with the batched path.  Larger q take the scalar path for every
+    trial.  On both paths every determinant must equal b_1^N mod q (the
+    power matrix is triangular in the x-adic filtration of F_q[x]/(x^n));
+    either guard raises ConsistencyError.
     Under it a determinant misses the class of 1 exactly when b_1 = 0 mod q,
     so those trials are the failures.
     """
@@ -431,7 +420,7 @@ def local_coset_check(
         raise ValueError(f"x^{n} - ({m}) is reducible over Q")
     if trials < 1:
         raise ValueError("trials must be positive")
-    poly = pure_poly(n, m)
+    order = EquationOrder.power_order(pure_poly(n, m))
     rng = random.Random(seed)
     # the scalar path takes no spot checks: they would recompute the same value
     checks = min(_COSET_SPOT_CHECKS, trials) if q < 1 << 32 else 0
@@ -440,7 +429,7 @@ def local_coset_check(
     for start in range(0, trials, _COSET_BLOCK):
         bs = _coset_draws(rng, n, q, min(_COSET_BLOCK, trials - start), uniformizer_only)
         if q >= 1 << 32:
-            dets = [_scalar_det(b, poly, q) for b in bs]
+            dets = [index_form_value(order, b).value % q for b in bs]
             bad = [i for i, b in enumerate(bs) if dets[i] != pow(b[1], N, q)]
         else:
             block = np.array(bs, dtype=np.uint64)
@@ -451,7 +440,7 @@ def local_coset_check(
                 f"determinant {dets[bad[0]]} != b_1^N mod {q} for n={n}, m={m}, b={bs[bad[0]]}"
             )
         for i in spot.intersection(range(start, start + len(bs))):
-            if _scalar_det(bs[i - start], poly, q) != int(dets[i - start]):
+            if index_form_value(order, bs[i - start]).value % q != int(dets[i - start]):
                 raise ConsistencyError(
                     f"batched and scalar determinants differ mod {q} for n={n}, m={m}, "
                     f"b={bs[i - start]}"

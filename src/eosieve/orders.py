@@ -392,7 +392,8 @@ def multiplication_table(order: EquationOrder):
 
 
 def index_form_value(order: EquationOrder, beta, orientation_sign: int = 1) -> IndexFormValue:
-    """det of the matrix of 1, beta, ..., beta^(n-1) in the order's basis.
+    """det of the matrix of 1, beta, ..., beta^(n-1) in the order's basis: the
+    library's one exact power-matrix determinant.
 
     `beta` is given by integer coordinates in the order's basis; the order's
     own basis defines the +1 orientation.

@@ -1,4 +1,4 @@
-"""Reference counts that the range experiments are tested against."""
+"""Reference counts and indices that the library is tested against."""
 
 import math
 
@@ -7,6 +7,7 @@ import numpy as np
 from eosieve.arith import prime_sieve
 from eosieve.experiments import _radicand_windows, _window_counts
 from eosieve.families import thin_Pn_member
+from eosieve.orders import EquationOrder, order_index
 
 
 def count_squarefree_not_1_mod_4(x_max: int) -> int:
@@ -36,6 +37,14 @@ def thin_counts_by_listing(n: int, c: int, limit: int) -> tuple[int, int]:
     prime with thin_Pn_member."""
     primes = prime_sieve(limit)
     return sum(thin_Pn_member(n, c, q) for q in primes), len(primes)
+
+
+def scaled_generator_index_by_lattice(poly, c: int) -> int:
+    """[Z[theta] : Z[c theta]] as a lattice index: the Hermite basis of the
+    suborder spanned by c^i theta^i, solved for in the power order."""
+    n = poly.degree
+    rows = [[c**i if j == i else 0 for j in range(n)] for i in range(n)]
+    return order_index(EquationOrder.from_basis(poly, rows), EquationOrder.power_order(poly))
 
 
 def pfree_count_inclusion_exclusion(primes, x: int) -> int:

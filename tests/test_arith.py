@@ -211,6 +211,14 @@ def test_nth_power_residue_examples():
         is_nth_power_residue(13, 6, 13)  # not a unit
 
 
+def test_nth_power_residue_requires_a_prime():
+    # 4 = 2^2, but the units mod 21 are not cyclic and Euler's test says no
+    with pytest.raises(ValueError, match="prime"):
+        is_nth_power_residue(4, 2, 21)
+    with pytest.raises(ValueError, match="prime"):
+        is_nth_power_residue(2, 6, 25)
+
+
 @pytest.mark.parametrize("N", [6, 10, 15])
 def test_nth_power_residue_brute_force(N):
     for q in prime_sieve(2000):

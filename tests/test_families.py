@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eosieve.arith import pow_mod, prime_array, prime_divisors, prime_sieve
+from eosieve.arith import is_probable_prime, pow_mod, prime_array, prime_divisors, prime_sieve
 from eosieve.families import (
     ScaledFamily,
     eisenstein_at,
@@ -18,12 +18,13 @@ from eosieve.families import (
     thin_member_density,
     trinomial_data,
     trinomial_monogenic_check,
+    trinomial_poly,
     twist_index_check,
     twist_poly,
 )
 from eosieve.orders import MonicPolynomial, poly_disc_resultant
 from eosieve.purefield import _local_index_table, pure_poly
-from oracles import thin_counts_by_listing
+from oracles import scaled_generator_index_by_lattice, thin_counts_by_listing
 
 
 def test_eisenstein_at_examples():
@@ -95,6 +96,19 @@ def test_twist_examples():
         twist_index_check(4, 7, 7)
 
 
+@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("c", range(2, 6))
+def test_scaled_generator_index_matches_the_lattice_oracle(n, c):
+    # the index form at c theta against the Hermite-lattice route it replaced
+    t = next(t for t in range(2, 10**4) if math.gcd(t, c) == 1 and in_Tn(n, t))
+    q = next(q for q in prime_sieve(10**4) if thin_Pn_member(n, c, q))
+    twist = twist_index_check(n, c, t)
+    thin = thin_family_check(n, c, q).distinguished_index
+    assert twist == scaled_generator_index_by_lattice(trinomial_poly(n, t), c)
+    assert thin == scaled_generator_index_by_lattice(pure_poly(n, q), c)
+    assert twist == thin == c ** (n * (n - 1) // 2)
+
+
 def test_twist_poly_disc():
     # disc(x^4 + 8tx + 16t) = 2^12 t^3 (256 - 27 t)
     for t in (7, 11, 13, -5, 17):
@@ -155,6 +169,26 @@ def test_thin_membership():
     for q in prime_sieve(500):
         if q % 2 and q % 8:  # skip 2 and multiples
             assert thin_Pn_member(4, 2, q) == (q % 4 == 3), q
+
+
+@pytest.mark.parametrize("n, c", [(4, 2), (6, 5)])
+def test_thin_membership_is_false_off_the_primes(n, c):
+    assert not thin_Pn_member(n, c, 0) and not thin_Pn_member(n, c, 1)
+    assert not thin_Pn_member(n, c, -7)
+    members = sum(thin_Pn_member(n, c, q) for q in range(0, 1001))
+    assert members == thin_member_density(n, c, 1000)[0]
+    assert not any(thin_Pn_member(n, c, q) for q in range(2, 1001) if not is_probable_prime(q))
+
+
+def test_prime_preconditions_reject_composites():
+    with pytest.raises(ValueError, match="prime"):
+        rho_ell2(4, 9)  # the brute force and the closed form differ at 9
+    with pytest.raises(ValueError, match="prime"):
+        rho_ell2(4, 15)
+    with pytest.raises(ValueError, match="prime"):
+        eisenstein_at(MonicPolynomial((6, 6, 0, 0)), 6)
+    with pytest.raises(ValueError, match="not a member"):
+        thin_family_check(4, 2, 15)
 
 
 def test_thin_family_check_examples():

@@ -21,9 +21,15 @@ from eosieve.obstruction import (
     kummer_data,
     local_coset_check,
     _power_matrices,
-    _scalar_det,
 )
-from eosieve.orders import _bareiss_det, _poly_mul, _reduce_mod_poly
+from eosieve.orders import (
+    EquationOrder,
+    IndexFormValue,
+    _bareiss_det,
+    _poly_mul,
+    _reduce_mod_poly,
+    index_form_value,
+)
 from eosieve.purefield import pure_index, pure_poly
 
 
@@ -61,6 +67,13 @@ def test_in_Pg_examples():
     assert not in_Pg(11, 4, 6)
     assert in_Pg(37, 4, 6)
     assert not in_Pg(73, 8, 6)  # ord(2) = 9 mod 73, so 8 is a 6th power
+
+
+@pytest.mark.parametrize("g, N", [(4, 6), (8, 6), (2, 3)])
+def test_in_Pg_is_false_off_the_primes(g, N):
+    members = set(enumerate_Pg(g, N, 2000))
+    for q in range(-5, 2001):
+        assert in_Pg(q, g, N) == (q in members), q
 
 
 def test_in_Pg_brute_force_agreement():
@@ -335,9 +348,9 @@ def test_power_matrix_dets_match_gf_echelon(n, m, q):
     bs += [[rng.randrange(q)] + [0] * (n - 1) for _ in range(5)]  # rank 1
     bs += [[0, 0] + [rng.randrange(q) for _ in range(n - 2)] for _ in range(5)]  # b_1 = 0
     dets = _gf_dets(_power_matrices(np.array(bs, dtype=np.uint64), q), q)
-    poly = pure_poly(n, m)
+    order = EquationOrder.power_order(pure_poly(n, m))
     for b, det in zip(bs, dets.tolist()):
-        assert det == _scalar_det(b, poly, q), b
+        assert det == index_form_value(order, b).value % q, b
         assert det == pow(b[1], n * (n - 1) // 2, q), b
 
 
@@ -425,9 +438,11 @@ def test_local_coset_identity_guard_catches_a_bad_eliminator(monkeypatch):
 def test_local_coset_identity_guard_covers_the_scalar_path(monkeypatch):
     import eosieve.obstruction as obstruction
 
-    scalar_det = obstruction._scalar_det
+    exact = obstruction.index_form_value
     monkeypatch.setattr(
-        obstruction, "_scalar_det", lambda b, poly, q: (scalar_det(b, poly, q) + 1) % q
+        obstruction,
+        "index_form_value",
+        lambda order, beta: IndexFormValue(exact(order, beta).value + 1),
     )
     with pytest.raises(ConsistencyError, match="b_1\\^N"):
         local_coset_check(4, 4294967311, 4294967311, trials=20, seed=0)
@@ -437,7 +452,7 @@ def test_local_coset_scalar_spot_check_catches_a_disagreement(monkeypatch):
     import eosieve.obstruction as obstruction
 
     # the eliminator stays right, so only the scalar recomputation differs
-    monkeypatch.setattr(obstruction, "_scalar_det", lambda b, poly, q: -1)
+    monkeypatch.setattr(obstruction, "index_form_value", lambda order, beta: IndexFormValue(-1))
     with pytest.raises(ConsistencyError, match="batched and scalar"):
         local_coset_check(4, 13, 13, trials=50, seed=0)
 
