@@ -462,6 +462,7 @@ def _admissible_at(ranks: set[int], x_max: int) -> dict[int, int]:
                 if seen <= r < seen + count:
                     found[r] = lo + start + int(np.flatnonzero(block)[r - seen])
             seen += count
+        del sf, block  # not held while the next window is sieved
     return found
 
 

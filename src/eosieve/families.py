@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import (
+    _SIEVE_BLOCK,
     _progression_mask,
     _tiled_windows,
     factorize,
@@ -341,9 +342,14 @@ def thin_member_density(n: int, c: int, limit: int) -> tuple[int, int, float]:
         mask = _progression_mask(1, 2, k0, hi)
         primes += int(np.count_nonzero(mask))
         mask &= tile
-        # the members q <= c * n, the only ones that can divide it
-        small = 1 + 2 * (k0 + np.flatnonzero(mask[: max(0, (cn + 1) // 2 - k0)]))
-        members += int(np.count_nonzero(mask)) - int(np.count_nonzero(cn % small == 0))
+        members += int(np.count_nonzero(mask))
+        # the members q <= c * n, the only ones that can divide it, listed
+        # one sieve block at a time
+        head = mask[: max(0, (cn + 1) // 2 - k0)]
+        for b0 in range(0, len(head), _SIEVE_BLOCK):
+            small = 1 + 2 * (k0 + b0 + np.flatnonzero(head[b0 : b0 + _SIEVE_BLOCK]))
+            members -= int(np.count_nonzero(cn % small == 0))
+        del mask, head  # not held while the next window is sieved
     return members, primes, members / primes
 
 

@@ -16,7 +16,9 @@ read-only uint32 array, and every P_g consumer (enumerate_Pg, estimate_delta,
 the range experiments and the pset command) reads it.  One entry is kept, so
 the cache holds at most one P_g (34 MB at limit = 10^9) and a scan over many
 g replaces it as it goes; refused arguments are not cached and raise on
-every call.
+every call.  Building it holds no second copy: the residue pass runs over
+blocks of _PG_BLOCK candidates, and each block's members go straight into
+the one array, sized by the Brun-Titchmarsh bound (_pg_capacity).
 """
 
 from __future__ import annotations
@@ -170,33 +172,77 @@ def in_Pg(q: int, g: int, N: int) -> bool:
     return not is_nth_power_residue(g, N, q)
 
 
-def _pg_window(g: int, N: int, qs: np.ndarray, rng: random.Random) -> tuple[int, np.ndarray]:
-    """The candidate count and the P_g members among the primes qs = 1 mod 2N.
+# Candidates per block of the P_g residue pass: each of its uint64 arrays
+# holds at most 512 KiB, whatever the window.
+_PG_BLOCK = 1 << 16
 
-    g is reduced mod each q by Horner's rule over its 31-bit limbs, which
-    finds the q dividing g.  The residue test is one pow_mod pass over the
-    window, on g itself when g < 2^32 (the same residues, and pow_mod then
-    multiplies by unreduced powers g^d < 2^32) and on the reduced g
-    otherwise; 16 candidates drawn with rng (all, if fewer) are recomputed
-    with Python's pow, and a mismatch raises ConsistencyError.
-    """
-    qs = qs.astype(np.uint64)
+
+def _g_mod(g: int, qs: np.ndarray) -> np.ndarray:
+    """g mod each q of a uint64 array, by Horner's rule over the 31-bit limbs of g."""
     g_mod = np.zeros_like(qs)
     for shift in range(31 * ((g.bit_length() - 1) // 31), -1, -31):
         limb = np.uint64((g >> shift) & ((1 << 31) - 1))
         g_mod = ((g_mod << np.uint64(31)) + limb) % qs
-    kept = g_mod != 0  # q > 2N, so q | 2Ng exactly when q | g
-    qs = qs[kept]
-    # g < 2^32 is passed as it is; dropping g_mod then keeps one window-sized
-    # array fewer alive through the pass
-    base = g if g < 1 << 32 else g_mod[kept]
-    del g_mod, kept
-    residues = pow_mod(base, (qs - np.uint64(1)) // np.uint64(N), qs)
-    for i in rng.sample(range(len(qs)), min(16, len(qs))):
-        q = int(qs[i])
-        if int(residues[i]) != pow(g % q, (q - 1) // N, q):
-            raise ConsistencyError(f"pow_mod gives {residues[i]} for g={g}, N={N}, q={q}")
-    return len(qs), qs[residues != 1].astype(np.int64)
+    return g_mod
+
+
+def _pg_window(
+    g: int, N: int, qs: np.ndarray, rng: random.Random, out: np.ndarray, filled: int
+) -> tuple[int, int]:
+    """The candidate count among the primes qs = 1 mod 2N, and the end in out
+    of their P_g members, written from out[filled] on.
+
+    Two passes over blocks of _PG_BLOCK primes: the first drops the q
+    dividing g, and 16 of the other candidates are drawn with rng (all, if
+    fewer); the second is the residue test, one pow_mod per block, on g
+    itself when g < 2^32 (pow_mod then multiplies by unreduced powers
+    g^d < 2^32) and on the reduced g otherwise.  Each drawn candidate is
+    recomputed with Python's pow in the block that holds it; a mismatch, or
+    members that would run past the end of out, raise ConsistencyError.
+    """
+    qs = qs.view(np.uint64)  # primes, so no sign to lose
+    blocks = range(0, len(qs), _PG_BLOCK)
+    kept = np.empty(len(qs), dtype=bool)  # q > 2N, so q | 2Ng exactly when q | g
+    for b0 in blocks:
+        kept[b0 : b0 + _PG_BLOCK] = _g_mod(g, qs[b0 : b0 + _PG_BLOCK]) != 0
+    count = int(np.count_nonzero(kept))
+    spot = rng.sample(range(count), min(16, count))
+    seen = 0  # candidates in the blocks before this one
+    for b0 in blocks:
+        block = qs[b0 : b0 + _PG_BLOCK][kept[b0 : b0 + _PG_BLOCK]]
+        base = g if g < 1 << 32 else _g_mod(g, block)
+        residues = pow_mod(base, (block - np.uint64(1)) // np.uint64(N), block)
+        for i in spot:
+            if seen <= i < seen + len(block):
+                q = int(block[i - seen])
+                if int(residues[i - seen]) != pow(g % q, (q - 1) // N, q):
+                    raise ConsistencyError(
+                        f"pow_mod gives {residues[i - seen]} for g={g}, N={N}, q={q}"
+                    )
+        seen += len(block)
+        members = block[residues != 1]
+        if filled + len(members) > len(out):
+            raise ConsistencyError(
+                f"P_{g} (N={N}) overruns its Brun-Titchmarsh bound of {len(out)} members"
+            )
+        out[filled : filled + len(members)] = members
+        filled += len(members)
+    return count, filled
+
+
+def _pg_capacity(N: int, limit: int) -> int:
+    """An upper bound on the primes q = 1 mod 2N up to limit, hence on P_g.
+
+    The Montgomery-Vaughan Brun-Titchmarsh bound (Mathematika 20, 1973),
+    pi(x; k, a) < 2x / (phi(k) log(x/k)) for x > k, with k = 2N and x =
+    limit, plus one for the rounding of the float; never more than the
+    (limit - 1) // 2N terms of the progression above 1, so 0 when
+    2N >= limit.
+    """
+    terms = (limit - 1) // (2 * N)
+    if terms == 0:
+        return 0
+    return min(terms, int(2 * limit / (euler_phi(2 * N) * math.log(limit / (2 * N)))) + 1)
 
 
 @functools.lru_cache(maxsize=1, typed=True)
@@ -208,21 +254,27 @@ def _pg_table(g: int, N: int, limit: int) -> tuple[int, np.ndarray]:
     window of the progression at a time (none when 2N >= limit); a candidate
     is in P_g when g^((q-1)/N) != 1 mod q.  The arguments are checked before
     any sieving.  Members lie below 2^32, and half the bytes of int64 keep
-    P_g to 34 MB at limit = 10^9; only the uint32 copy of each window is kept
-    while the windows are folded.  The array is shared by every caller with
-    the same key, hence read-only.
+    P_g to 34 MB at limit = 10^9.  Every window writes its members into one
+    array, allocated for _pg_capacity members and shrunk in place to the
+    members found: its pages past the last member are never written, so
+    never resident, and the range layer's working memory beyond P_g is one
+    window of primes and a few blocks of the residue pass.  The array is
+    shared by every caller with the same key, hence read-only.
     """
     if g < 2 or N < 2:
         raise ValueError("requires g >= 2 and N >= 2")
     if limit >= 1 << 32:
         raise ValueError("limit must be below 2^32")
     rng = random.Random(f"{g}:{N}:{limit}")
-    prime_windows = _progression_primes(1, 2 * N, 2 * N + 1, limit + 1)
-    found = (_pg_window(g, N, qs, rng) for qs in prime_windows)
-    windows = [(count, pg.astype(np.uint32)) for count, pg in found]
-    members = np.concatenate([np.empty(0, dtype=np.uint32), *(pg for _, pg in windows)])
+    members = np.empty(_pg_capacity(N, limit), dtype=np.uint32)
+    count = filled = 0
+    for qs in _progression_primes(1, 2 * N, 2 * N + 1, limit + 1):
+        window_count, filled = _pg_window(g, N, qs, rng, members, filled)
+        count += window_count
+        del qs  # not held while the next window is sieved
+    members.resize(filled, refcheck=False)  # the one reference is this name
     members.setflags(write=False)
-    return sum(count for count, _ in windows), members
+    return count, members
 
 
 def enumerate_Pg(g: int, N: int, limit: int) -> list[int]:

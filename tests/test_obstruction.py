@@ -12,6 +12,7 @@ from eosieve.obstruction import (
     KummerData,
     _coset_draws,
     _gf_dets,
+    _pg_capacity,
     _pg_table,
     ObstructionCertificate,
     obstruction_certificate,
@@ -132,6 +133,49 @@ def test_pg_candidates_sample_guard(monkeypatch):
     _pg_table.cache_clear()  # a cached P_g would skip the patched pass
     with pytest.raises(ConsistencyError, match="pow_mod gives"):
         enumerate_Pg(4, 6, 10**4)
+
+
+def test_pg_candidates_sample_guard_reaches_every_block(monkeypatch):
+    import eosieve.obstruction as obstruction
+
+    pow_mod = obstruction.pow_mod
+    calls = []
+
+    def off_by_one_after_the_first_block(base, exp, modulus):
+        calls.append(len(modulus))
+        residues = pow_mod(base, exp, modulus)
+        return residues if len(calls) == 1 else (residues + 1) % modulus
+
+    # 300 candidates q = 1 mod 12 below 10^4, in one window of five blocks
+    monkeypatch.setattr(obstruction, "_PG_BLOCK", 64)
+    monkeypatch.setattr(obstruction, "pow_mod", off_by_one_after_the_first_block)
+    _pg_table.cache_clear()
+    with pytest.raises(ConsistencyError, match="pow_mod gives"):
+        enumerate_Pg(4, 6, 10**4)
+    assert len(calls) > 1 and calls[0] == 64
+
+
+@pytest.mark.parametrize("N", [2, 3, 6, 28, 66])
+def test_pg_capacity_bounds_the_candidates(N):
+    primes = prime_sieve(10**5)
+    # limits at and just past 2N + 1, where log(limit / 2N) is near 0
+    for limit in (2 * N, 2 * N + 1, 2 * N + 2, 4 * N + 2, 1000, 10**5):
+        candidates = sum(1 for q in primes if q <= limit and q % (2 * N) == 1)
+        assert candidates <= _pg_capacity(N, limit) <= max(0, (limit - 1) // (2 * N))
+
+
+def test_pg_capacity_one_too_small_raises(monkeypatch):
+    import eosieve.obstruction as obstruction
+
+    _pg_table.cache_clear()
+    members = enumerate_Pg(4, 6, 10**5)
+    monkeypatch.setattr(obstruction, "_pg_capacity", lambda N, limit: len(members))
+    _pg_table.cache_clear()
+    assert enumerate_Pg(4, 6, 10**5) == members  # an exact bound is enough
+    monkeypatch.setattr(obstruction, "_pg_capacity", lambda N, limit: len(members) - 1)
+    _pg_table.cache_clear()
+    with pytest.raises(ConsistencyError, match="Brun-Titchmarsh"):
+        enumerate_Pg(4, 6, 10**5)
 
 
 def test_pg_table_warm_call_returns_the_cold_result(monkeypatch):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import eosieve.arith as arith
+import eosieve.families as families
+import eosieve.obstruction as obstruction
 from eosieve.arith import _progression_primes, prime_array
 from eosieve.experiments import (
     alpha_density,
@@ -52,6 +54,8 @@ def _scans(xs):
         "thin 6": thin_member_density(6, 5, X),
         # c n = 15 is odd: q = 2 is a member, and 3 and 5 are struck by c n
         "thin 5": thin_member_density(5, 3, X),
+        # c n >= X: every member is listed to test whether it divides c n
+        "thin 4, c = 10**15 + 1": thin_member_density(4, 10**15 + 1, X),
         "exceptional 4": exceptional,
         # report equality covers the rows; the members are built by their own pass
         "exceptional 4 members": exceptional.members,
@@ -74,6 +78,20 @@ def test_small_windows_give_the_default_window_results(window, monkeypatch):
     # and no P_g read from the cache, where the default windows built it
     _pg_table.cache_clear()
     assert prime_array(X).tolist() == _plain_sieve(X)
+    assert _scans(xs) == expected
+
+
+# blocks of 7 split every window of the P_g residue pass and of the thin
+# family's listing; blocks of 64 fill windows of 37 and 64 with one block
+@pytest.mark.parametrize("block", [7, 64])
+@pytest.mark.parametrize("window", [37, 64, 1000])
+def test_small_blocks_give_the_default_block_results(block, window, monkeypatch):
+    xs = _checkpoints(window)
+    expected = _scans(xs)
+    monkeypatch.setattr(arith, "_WINDOW", window)
+    monkeypatch.setattr(obstruction, "_PG_BLOCK", block)
+    monkeypatch.setattr(families, "_SIEVE_BLOCK", block)
+    _pg_table.cache_clear()
     assert _scans(xs) == expected
 
 
