@@ -25,7 +25,6 @@ from .errors import (
     AmbiguousSnapError,
     ConsistencyError,
     ContainmentError,
-    EnumerationLimitError,
     FactorizationError,
     NotClosedError,
 )
@@ -68,7 +67,6 @@ from .obstruction import (
 )
 from .orders import (
     EquationOrder,
-    IndexFormValue,
     MonicPolynomial,
     equation_order_index,
     index_form_value,
@@ -76,7 +74,6 @@ from .orders import (
     order_disc,
     order_index,
     p_saturate,
-    p_saturate_enumeration,
     poly_disc_resultant,
 )
 from .purefield import (

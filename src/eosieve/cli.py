@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .arith import is_squarefree, prime_divisors
-from .errors import ConsistencyError, EnumerationLimitError
+from .errors import ConsistencyError
 from .experiments import (
     alpha_density,
     exceptional_scan,
@@ -486,7 +486,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (EnumerationLimitError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:

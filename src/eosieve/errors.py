@@ -1,6 +1,7 @@
 """Exception types shared across the library.
 
-Precondition and domain violations raise ``ValueError`` (or a subclass);
+Every error the library raises on purpose is of one of two kinds:
+precondition and domain violations raise ``ValueError`` (or a subclass),
 internal cross-check failures raise ``ConsistencyError``.  The CLI maps the
 former to exit code 2 and the latter to exit code 3.
 """
@@ -28,10 +29,6 @@ class ContainmentError(ValueError):
 
 class FactorizationError(ValueError):
     """A cofactor survived trial division and is not provably prime."""
-
-
-class EnumerationLimitError(RuntimeError):
-    """A brute-force candidate space exceeds the configured resource bound."""
 
 
 class AmbiguousSnapError(ValueError):

@@ -5,8 +5,9 @@ residue tables and quadratic sieves, P-freeness is decided by marking
 multiples of the obstruction primes, and the only floating point enters in
 the final density ratios and fits.  The pattern of g(m) = g, the criterion
 (g = 1) included, is purefield._index_pattern, periodic in |m| with period
-L = n rad(n), guarded there and by a seeded sample of radicands checked
-against saturation at every p | n in every exceptional scan.
+L = n rad(n), guarded there and by a seeded sample of radicands, drawn
+from the integers of the range and kept when squarefree, checked against
+saturation at every p | n in every exceptional scan.
 
 alpha-density only counts, and counts without enumerating: the squarefree
 k <= X at which the pattern holds come from a Moebius sum over d <= sqrt(X)
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arith
-from .arith import _tiled_windows, _windows, prime_array, prime_divisors
+from .arith import _tiled_windows, _windows, is_squarefree, prime_array, prime_divisors
 from .errors import ConsistencyError
 from .obstruction import _pg_table
 from .purefield import _index_pattern, _index_values, _saturated_index
@@ -442,45 +443,32 @@ def mertens_sum(g: int, N: int, x_max: int, checkpoints) -> MertensReport:
     )
 
 
-# Entries per block in _admissible_at, which holds the positions of one
-# block at a time
-_RANK_BLOCK = 1 << 14
-
-
-def _admissible_at(ranks: set[int], x_max: int) -> dict[int, int]:
-    """The admissible k (squarefree, 2 <= k <= x_max) at the given ranks,
-    counted from 0 in ascending k, keyed by rank: each window is walked block
-    by block."""
-    found = {}
-    seen = 0
-    for lo, hi in _windows(0, x_max + 1):
-        sf = _squarefree_window(lo, hi)
-        for start in range(0, hi - lo, _RANK_BLOCK):
-            block = sf[start : start + _RANK_BLOCK]
-            count = np.count_nonzero(block)
-            for r in ranks:
-                if seen <= r < seen + count:
-                    found[r] = lo + start + int(np.flatnonzero(block)[r - seen])
-            seen += count
-        del sf, block  # not held while the next window is sieved
-    return found
-
-
 def _scan_sample_check(n: int, x_max: int) -> None:
     """Seeded cross-check of the local index tables against direct saturation.
 
-    Draws 16 radicands (fewer if the range holds fewer) with
-    random.Random(f"{n}:{x_max}") from the admissible k in ascending order,
-    then the same k negated, and checks each at every prime p | n against
-    its table entry (_saturated_index, since the index of Z[alpha] in its
-    p-saturation is the p-part of g(m)); raises ConsistencyError when the
-    pattern the scan tiles for the product g does not hold at |m|.
+    Draws i = rng.randrange(2 * (x_max - 1)) with random.Random(f"{n}:{x_max}"),
+    which is m = i + 2 for i < x_max - 1 and m = -(i - x_max + 3) otherwise,
+    so 2 <= |m| <= x_max; skips repeats and keeps each squarefree m, until 16
+    are kept or every m has been drawn: a uniform sample without replacement
+    of the radicands of both signs, found without ranking them.  Each kept m
+    is checked at every prime p | n against its table entry
+    (_saturated_index, since the index of Z[alpha] in its p-saturation is
+    the p-part of g(m)); raises ConsistencyError when the pattern the scan
+    tiles for the product g does not hold at |m|.
     """
-    total = _admissible_counts(np.ones((1, 1), dtype=bool), (x_max,))[0]
-    draws = random.Random(f"{n}:{x_max}").sample(range(2 * total), min(16, 2 * total))
-    ks = _admissible_at({i % total for i in draws}, x_max)
-    for i in draws:
-        m = ks[i] if i < total else -ks[i - total]
+    rng = random.Random(f"{n}:{x_max}")
+    size = 2 * (x_max - 1)
+    drawn: set[int] = set()
+    checked = 0
+    while checked < 16 and len(drawn) < size:
+        i = rng.randrange(size)
+        if i in drawn:
+            continue
+        drawn.add(i)
+        m = i + 2 if i < x_max - 1 else -(i - x_max + 3)
+        if not is_squarefree(m):
+            continue
+        checked += 1
         g = math.prod(_saturated_index(n, p, m) for p in prime_divisors(n))
         pos, neg = _index_pattern(n, g, x_max)
         pattern = neg if m < 0 else pos

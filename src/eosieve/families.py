@@ -196,7 +196,7 @@ def twist_poly(n: int, c: int, t: int) -> MonicPolynomial:
 def _scaled_generator_index(poly: MonicPolynomial, c: int) -> int:
     """Index of Z[c theta] in Z[theta]: |I(c theta)|, the power order's index form."""
     beta = (0, c) + (0,) * (poly.degree - 2)
-    return abs(index_form_value(EquationOrder.power_order(poly), beta).value)
+    return abs(index_form_value(EquationOrder.power_order(poly), beta))
 
 
 def twist_index_check(n: int, c: int, t: int) -> int:

@@ -16,9 +16,10 @@ read-only uint32 array, and every P_g consumer (enumerate_Pg, estimate_delta,
 the range experiments and the pset command) reads it.  One entry is kept, so
 the cache holds at most one P_g (34 MB at limit = 10^9) and a scan over many
 g replaces it as it goes; refused arguments are not cached and raise on
-every call.  Building it holds no second copy: the residue pass runs over
-blocks of _PG_BLOCK candidates, and each block's members go straight into
-the one array, sized by the Brun-Titchmarsh bound (_pg_capacity).
+every call.  Building it holds no second copy: one residue pass runs over
+blocks of _PG_BLOCK primes of the progression (a zero residue marks a prime
+dividing g), and each block's members go straight into the one array,
+sized by the Brun-Titchmarsh bound (_pg_capacity).
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def in_Pg(q: int, g: int, N: int) -> bool:
     return not is_nth_power_residue(g, N, q)
 
 
-# Candidates per block of the P_g residue pass: each of its uint64 arrays
+# Primes per block of the P_g residue pass: each of its uint64 arrays
 # holds at most 512 KiB, whatever the window.
 _PG_BLOCK = 1 << 16
 
@@ -192,35 +193,32 @@ def _pg_window(
     """The candidate count among the primes qs = 1 mod 2N, and the end in out
     of their P_g members, written from out[filled] on.
 
-    Two passes over blocks of _PG_BLOCK primes: the first drops the q
-    dividing g, and 16 of the other candidates are drawn with rng (all, if
-    fewer); the second is the residue test, one pow_mod per block, on g
-    itself when g < 2^32 (pow_mod then multiplies by unreduced powers
-    g^d < 2^32) and on the reduced g otherwise.  Each drawn candidate is
-    recomputed with Python's pow in the block that holds it; a mismatch, or
-    members that would run past the end of out, raise ConsistencyError.
+    One pass over blocks of _PG_BLOCK primes: the residue test, one pow_mod
+    per block, on g itself when g < 2^32 (pow_mod then multiplies by
+    unreduced powers g^d < 2^32) and on the reduced g otherwise.  q > 2N, so
+    q | 2Ng exactly when q | g, which is exactly when the residue
+    g^((q-1)/N) mod q is 0: the candidates are the nonzero residues and the
+    members those above 1.  16 of the primes are drawn with rng (all, if
+    fewer), and each is recomputed with Python's pow in the block that holds
+    it; a mismatch, or members that would run past the end of out, raise
+    ConsistencyError.
     """
     qs = qs.view(np.uint64)  # primes, so no sign to lose
-    blocks = range(0, len(qs), _PG_BLOCK)
-    kept = np.empty(len(qs), dtype=bool)  # q > 2N, so q | 2Ng exactly when q | g
-    for b0 in blocks:
-        kept[b0 : b0 + _PG_BLOCK] = _g_mod(g, qs[b0 : b0 + _PG_BLOCK]) != 0
-    count = int(np.count_nonzero(kept))
-    spot = rng.sample(range(count), min(16, count))
-    seen = 0  # candidates in the blocks before this one
-    for b0 in blocks:
-        block = qs[b0 : b0 + _PG_BLOCK][kept[b0 : b0 + _PG_BLOCK]]
+    spot = rng.sample(range(len(qs)), min(16, len(qs)))
+    count = 0
+    for b0 in range(0, len(qs), _PG_BLOCK):
+        block = qs[b0 : b0 + _PG_BLOCK]
         base = g if g < 1 << 32 else _g_mod(g, block)
         residues = pow_mod(base, (block - np.uint64(1)) // np.uint64(N), block)
         for i in spot:
-            if seen <= i < seen + len(block):
-                q = int(block[i - seen])
-                if int(residues[i - seen]) != pow(g % q, (q - 1) // N, q):
+            if b0 <= i < b0 + len(block):
+                q = int(block[i - b0])
+                if int(residues[i - b0]) != pow(g % q, (q - 1) // N, q):
                     raise ConsistencyError(
-                        f"pow_mod gives {residues[i - seen]} for g={g}, N={N}, q={q}"
+                        f"pow_mod gives {residues[i - b0]} for g={g}, N={N}, q={q}"
                     )
-        seen += len(block)
-        members = block[residues != 1]
+        count += int(np.count_nonzero(residues))
+        members = block[residues > 1]
         if filled + len(members) > len(out):
             raise ConsistencyError(
                 f"P_{g} (N={N}) overruns its Brun-Titchmarsh bound of {len(out)} members"
@@ -481,7 +479,7 @@ def local_coset_check(
     for start in range(0, trials, _COSET_BLOCK):
         bs = _coset_draws(rng, n, q, min(_COSET_BLOCK, trials - start), uniformizer_only)
         if q >= 1 << 32:
-            dets = [index_form_value(order, b).value % q for b in bs]
+            dets = [index_form_value(order, b) % q for b in bs]
             bad = [i for i, b in enumerate(bs) if dets[i] != pow(b[1], N, q)]
         else:
             block = np.array(bs, dtype=np.uint64)
@@ -492,7 +490,7 @@ def local_coset_check(
                 f"determinant {dets[bad[0]]} != b_1^N mod {q} for n={n}, m={m}, b={bs[bad[0]]}"
             )
         for i in spot.intersection(range(start, start + len(bs))):
-            if index_form_value(order, bs[i - start]).value % q != int(dets[i - start]):
+            if index_form_value(order, bs[i - start]) % q != int(dets[i - start]):
                 raise ConsistencyError(
                     f"batched and scalar determinants differ mod {q} for n={n}, m={m}, "
                     f"b={bs[i - start]}"

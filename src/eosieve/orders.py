@@ -17,12 +17,10 @@ denominator that are integral, iterating one enlargement round until stable.
 The default round computes the multiplier ring of the p-radical by exact
 arithmetic mod p^2 on integer arrays, with the kernels over GF(p) taken by
 XOR elimination on rows packed into integers at p = 2 and by Gauss-Jordan
-elimination on Python rows at odd p.  `p_saturate_enumeration` implements
-the brute-force round that adjoins every integral element of denominator p
-(and the products that make the result a ring) and serves as the
-correctness oracle for small p.  Both rounds share the same fixed points
-(an order admits no integral element of denominator p outside itself
-exactly when it is p-maximal), so the two paths converge to the same order.
+elimination on Python rows at odd p.  The round's fixed points are the
+p-maximal orders (an order admits no integral element of denominator p
+outside itself exactly when it is p-maximal), so the test suite's
+brute-force oracle, which adjoins every such element, reaches the same order.
 
 A power order is first screened by Dedekind's criterion over GF(p), a few
 polynomial gcds; when it is p-maximal no round runs.  Two guards raise
@@ -43,11 +41,10 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import is_probable_prime
-from .errors import ConsistencyError, ContainmentError, EnumerationLimitError, NotClosedError
+from .errors import ConsistencyError, ContainmentError, NotClosedError
 
 __all__ = [
     "EquationOrder",
-    "IndexFormValue",
     "MonicPolynomial",
     "equation_order_index",
     "index_form_value",
@@ -55,7 +52,6 @@ __all__ = [
     "order_disc",
     "order_index",
     "p_saturate",
-    "p_saturate_enumeration",
     "poly_disc_resultant",
 ]
 
@@ -335,18 +331,6 @@ class EquationOrder:
         return tuple(Fraction(c, scale) for c in coords)
 
 
-@dataclass(frozen=True)
-class IndexFormValue:
-    """A signed index-form value relative to a chosen orientation."""
-
-    value: int
-    orientation_sign: int = 1
-
-    def __post_init__(self):
-        if self.orientation_sign not in (1, -1):
-            raise ValueError("orientation_sign must be +1 or -1")
-
-
 # 16 tables hit as often as 256 on the benchmark, and hold 32 MiB at n = 64
 @lru_cache(maxsize=16)
 def _multiplication_table_cached(order: EquationOrder) -> np.ndarray:
@@ -391,20 +375,19 @@ def multiplication_table(order: EquationOrder):
     return tuple(tuple(map(tuple, ti)) for ti in _multiplication_table_cached(order).tolist())
 
 
-def index_form_value(order: EquationOrder, beta, orientation_sign: int = 1) -> IndexFormValue:
+def index_form_value(order: EquationOrder, beta) -> int:
     """det of the matrix of 1, beta, ..., beta^(n-1) in the order's basis: the
     library's one exact power-matrix determinant.
 
-    `beta` is given by integer coordinates in the order's basis; the order's
-    own basis defines the +1 orientation.
+    `beta` is given by integer coordinates in the order's basis, whose own
+    orientation gives the sign.
     """
     table = _multiplication_table_cached(order).astype(object)
     times_beta = np.array([int(b) for b in beta], dtype=object) @ table  # row i: e_i * beta
     rows = [np.eye(order.degree, dtype=object)[0]]
     for _ in range(order.degree - 1):
         rows.append(rows[-1] @ times_beta)
-    det = _bareiss_det([row.tolist() for row in rows])
-    return IndexFormValue(value=orientation_sign * det, orientation_sign=orientation_sign)
+    return _bareiss_det([row.tolist() for row in rows])
 
 
 def order_index(sub: EquationOrder, sup: EquationOrder) -> int:
@@ -710,96 +693,6 @@ def p_saturate(order: EquationOrder, p: int) -> EquationOrder:
         if bigger == order:
             return order
         order = bigger
-
-
-def _charpoly_is_integral(rows, p: int) -> bool:
-    """Whether the characteristic polynomial of A/p is integral, for the
-    integer matrix A given by its rows.
-
-    Its coefficients are c_k / p^k, where x^n + c_1 x^(n-1) + ... + c_n is
-    the characteristic polynomial of A, so it is integral exactly when p^k
-    divides every c_k.  Faddeev-LeVerrier gives the c_k in integers:
-    M_1 = A, c_k = -tr(M_k) / k (an exact division), and
-    M_(k+1) = A (M_k + c_k I).  The first c_k that fails returns False.
-    """
-    n = len(rows)
-    ak = [row[:] for row in rows]
-    pk = 1
-    for step in range(1, n + 1):
-        c = -sum(ak[i][i] for i in range(n)) // step
-        pk *= p
-        if c % pk:
-            return False
-        if step == n:
-            break
-        for i in range(n):
-            ak[i][i] += c
-        ak = [
-            [sum(rows[i][t] * ak[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    return True
-
-
-def p_saturate_enumeration(
-    order: EquationOrder, p: int, enumeration_limit: int = 1 << 24
-) -> EquationOrder:
-    """Brute-force saturation round, iterated until stable (test oracle).
-
-    One round scans every element (a_0 e_0 + ... + a_{n-1} e_{n-1})/p with
-    a_i in [0, p) and adjoins those whose characteristic polynomial is
-    integral, then the ring they generate.  Raises ValueError when p is not
-    prime and EnumerationLimitError when p^n exceeds the limit.
-    """
-    if not is_probable_prime(p):
-        raise ValueError(f"p must be a prime, got {p}")
-    n = order.degree
-    if p**n > enumeration_limit:
-        raise EnumerationLimitError(
-            f"candidate space {p}^{n} exceeds enumeration limit {enumeration_limit}"
-        )
-    while True:
-        table = multiplication_table(order)
-        integral = []
-        for a in itertools.product(range(p), repeat=n):
-            if not any(a):
-                continue
-            mx = [
-                [sum(a[i] * table[i][j][k] for i in range(n)) for k in range(n)]
-                for j in range(n)
-            ]
-            if _charpoly_is_integral(mx, p):
-                integral.append(list(a))
-        if not integral:
-            return order
-        scaled = [[p * x for x in row] for row in order.basis_numerators]
-        new_rows = scaled + [
-            [sum(a[i] * order.basis_numerators[i][j] for i in range(n)) for j in range(n)]
-            for a in integral
-        ]
-        order = _ring_generated(order.poly, new_rows, p * order.denominator)
-
-
-def _ring_generated(poly: MonicPolynomial, rows, denominator: int) -> EquationOrder:
-    """The order generated by the lattice of rows / denominator, which holds 1.
-
-    Integral elements span a lattice that need not be closed under
-    multiplication; the products of its basis elements are adjoined until
-    it is.  Every product is integral, so this stops inside the maximal
-    order.
-    """
-    while True:
-        order = EquationOrder.from_basis(poly, rows, denominator)
-        try:
-            multiplication_table(order)
-            return order
-        except NotClosedError:
-            pass
-        basis, den = order.basis_numerators, order.denominator
-        products = itertools.combinations_with_replacement(basis, 2)
-        rows = [[x * den for x in row] for row in basis]
-        rows += [_reduce_mod_poly(_poly_mul(u, v), poly) for u, v in products]
-        denominator = den * den
 
 
 def equation_order_index(

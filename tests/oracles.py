@@ -1,13 +1,21 @@
 """Reference counts and indices that the library is tested against."""
 
+import itertools
 import math
 
 import numpy as np
 
-from eosieve.arith import prime_sieve
+from eosieve.arith import is_probable_prime, prime_sieve
+from eosieve.errors import NotClosedError
 from eosieve.experiments import _radicand_windows, _window_counts
 from eosieve.families import thin_Pn_member
-from eosieve.orders import EquationOrder, order_index
+from eosieve.orders import (
+    EquationOrder,
+    _poly_mul,
+    _reduce_mod_poly,
+    multiplication_table,
+    order_index,
+)
 
 
 def count_squarefree_not_1_mod_4(x_max: int) -> int:
@@ -61,3 +69,89 @@ def pfree_count_inclusion_exclusion(primes, x: int) -> int:
         if d <= x:
             total += (-1) ** bits * (x // d)
     return total
+
+
+def charpoly_is_integral(rows, p: int) -> bool:
+    """Whether the characteristic polynomial of A/p is integral, for the
+    integer matrix A given by its rows.
+
+    Its coefficients are c_k / p^k, where x^n + c_1 x^(n-1) + ... + c_n is
+    the characteristic polynomial of A, so it is integral exactly when p^k
+    divides every c_k.  Faddeev-LeVerrier gives the c_k in integers:
+    M_1 = A, c_k = -tr(M_k) / k (an exact division), and
+    M_(k+1) = A (M_k + c_k I).  The first c_k that fails returns False.
+    """
+    n = len(rows)
+    ak = [row[:] for row in rows]
+    pk = 1
+    for step in range(1, n + 1):
+        c = -sum(ak[i][i] for i in range(n)) // step
+        pk *= p
+        if c % pk:
+            return False
+        if step == n:
+            break
+        for i in range(n):
+            ak[i][i] += c
+        ak = [
+            [sum(rows[i][t] * ak[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    return True
+
+
+def p_saturate_enumeration(order: EquationOrder, p: int, enumeration_limit: int = 1 << 24):
+    """Brute-force saturation round, iterated until stable (test oracle).
+
+    One round scans every element (a_0 e_0 + ... + a_{n-1} e_{n-1})/p with
+    a_i in [0, p) and adjoins those whose characteristic polynomial is
+    integral, then the ring they generate.  Raises ValueError when p is not
+    prime or p^n exceeds the limit.
+    """
+    if not is_probable_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
+    n = order.degree
+    if p**n > enumeration_limit:
+        raise ValueError(f"candidate space {p}^{n} exceeds enumeration limit {enumeration_limit}")
+    while True:
+        table = multiplication_table(order)
+        integral = []
+        for a in itertools.product(range(p), repeat=n):
+            if not any(a):
+                continue
+            mx = [
+                [sum(a[i] * table[i][j][k] for i in range(n)) for k in range(n)]
+                for j in range(n)
+            ]
+            if charpoly_is_integral(mx, p):
+                integral.append(list(a))
+        if not integral:
+            return order
+        scaled = [[p * x for x in row] for row in order.basis_numerators]
+        new_rows = scaled + [
+            [sum(a[i] * order.basis_numerators[i][j] for i in range(n)) for j in range(n)]
+            for a in integral
+        ]
+        order = ring_generated(order.poly, new_rows, p * order.denominator)
+
+
+def ring_generated(poly, rows, denominator: int) -> EquationOrder:
+    """The order generated by the lattice of rows / denominator, which holds 1.
+
+    Integral elements span a lattice that need not be closed under
+    multiplication; the products of its basis elements are adjoined until
+    it is.  Every product is integral, so this stops inside the maximal
+    order.
+    """
+    while True:
+        order = EquationOrder.from_basis(poly, rows, denominator)
+        try:
+            multiplication_table(order)
+            return order
+        except NotClosedError:
+            pass
+        basis, den = order.basis_numerators, order.denominator
+        products = itertools.combinations_with_replacement(basis, 2)
+        rows = [[x * den for x in row] for row in basis]
+        rows += [_reduce_mod_poly(_poly_mul(u, v), poly) for u, v in products]
+        denominator = den * den

@@ -237,18 +237,23 @@ def test_exceptional_scan_small():
         rep.members = ()
 
 
-@pytest.mark.parametrize("n", [4, 6])
-@pytest.mark.parametrize("window, block", [(None, None), (37, None), (1000, 7)])
-def test_exceptional_scan_samples_the_whole_range_draws(n, window, block, monkeypatch):
-    x_max = 3000
-    ks = [k for k in range(2, x_max + 1) if is_squarefree(k)]
+def _sampled_radicands(n, x_max):
+    """The radicands the exceptional scan saturates, by listing the signed
+    2 <= |m| <= x_max, positives first, drawing from the list with repeats
+    skipped and keeping the squarefree ones, 16 at most."""
+    signed = [*range(2, x_max + 1), *range(-2, -x_max - 1, -1)]
     rng = random.Random(f"{n}:{x_max}")
-    draws = rng.sample(range(2 * len(ks)), 16)
-    expected = [ks[i] if i < len(ks) else -ks[i - len(ks)] for i in draws]
-    if window:
-        monkeypatch.setattr(arith, "_WINDOW", window)
-    if block:
-        monkeypatch.setattr(experiments, "_RANK_BLOCK", block)
+    drawn, kept = set(), []
+    while len(kept) < 16 and len(drawn) < len(signed):
+        m = signed[rng.randrange(len(signed))]
+        if m not in drawn:
+            drawn.add(m)
+            if all(m % (d * d) for d in range(2, math.isqrt(abs(m)) + 1)):
+                kept.append(m)
+    return kept
+
+
+def _record_saturations(monkeypatch):
     sampled = []
     saturated_index = experiments._saturated_index
 
@@ -257,9 +262,36 @@ def test_exceptional_scan_samples_the_whole_range_draws(n, window, block, monkey
         return saturated_index(n, p, m)
 
     monkeypatch.setattr(experiments, "_saturated_index", recording)
+    return sampled
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("window", [None, 37, 1000])
+def test_exceptional_scan_samples_the_whole_range_draws(n, window, monkeypatch):
+    x_max = 3000
+    expected = _sampled_radicands(n, x_max)
+    assert len(expected) == 16
+    if window:
+        monkeypatch.setattr(arith, "_WINDOW", window)
+    sampled = _record_saturations(monkeypatch)
     exceptional_scan(n, x_max, [100, 1000, x_max])
     # each radicand is saturated at every prime dividing n
     assert sampled == [(m, p) for m in expected for p in arith.prime_divisors(n)]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_exceptional_scan_samples_every_radicand_of_a_tiny_range(n, monkeypatch):
+    sampled = _record_saturations(monkeypatch)
+    for x_max in range(4, 14):  # 2 to 16 signed radicands
+        radicands = [m for m in range(-x_max, x_max + 1) if abs(m) >= 2 and is_squarefree(m)]
+        assert len(radicands) <= 16
+        sampled.clear()
+        exceptional_scan(n, x_max, [2, 3, x_max])
+        ms = [m for m, _ in sampled]
+        assert sorted(set(ms)) == radicands, x_max
+        # each saturated once at every prime dividing n, in the reference order
+        expected = _sampled_radicands(n, x_max)
+        assert sampled == [(m, p) for m in expected for p in arith.prime_divisors(n)]
 
 
 def test_exceptional_scan_sample_guard(monkeypatch):

@@ -25,7 +25,6 @@ from eosieve.obstruction import (
 )
 from eosieve.orders import (
     EquationOrder,
-    IndexFormValue,
     _bareiss_det,
     _poly_mul,
     _reduce_mod_poly,
@@ -102,11 +101,14 @@ def _candidates(g, N, limit):
     return count, members.tolist()
 
 
-@pytest.mark.parametrize("g", [2, 4, 5, 13 * 37, 1626, 2**32 - 5, 2**70 + 3, 3**64])
+@pytest.mark.parametrize(
+    "g", [2, 4, 5, 13 * 37, 1626, 2**32 - 5, 2**70 + 3, 3**64, 13 * 37 * 2**64]
+)
 def test_pg_candidates_match_scalar_loop(g):
     # pow_mod takes g < 2^32 unreduced: 4 on 4-bit digits, 5 on 3-bit ones,
     # 1626 and 2^32 - 5 on single bits, each above the small candidates q.
-    # 2^70 + 3 and 3^64 do not fit in 64 bits and are reduced mod q first.
+    # 2^70 + 3, 3^64 and 13 * 37 * 2^64 do not fit in 64 bits and are reduced
+    # mod q first, the last to 0 at q = 13 and 37.
     primes = prime_sieve(10**5)
     for N in (2, 3, 6, 28, 66):
         count, members = _candidates(g, N, 10**5)
@@ -394,7 +396,7 @@ def test_power_matrix_dets_match_gf_echelon(n, m, q):
     dets = _gf_dets(_power_matrices(np.array(bs, dtype=np.uint64), q), q)
     order = EquationOrder.power_order(pure_poly(n, m))
     for b, det in zip(bs, dets.tolist()):
-        assert det == index_form_value(order, b).value % q, b
+        assert det == index_form_value(order, b) % q, b
         assert det == pow(b[1], n * (n - 1) // 2, q), b
 
 
@@ -486,7 +488,7 @@ def test_local_coset_identity_guard_covers_the_scalar_path(monkeypatch):
     monkeypatch.setattr(
         obstruction,
         "index_form_value",
-        lambda order, beta: IndexFormValue(exact(order, beta).value + 1),
+        lambda order, beta: exact(order, beta) + 1,
     )
     with pytest.raises(ConsistencyError, match="b_1\\^N"):
         local_coset_check(4, 4294967311, 4294967311, trials=20, seed=0)
@@ -496,7 +498,7 @@ def test_local_coset_scalar_spot_check_catches_a_disagreement(monkeypatch):
     import eosieve.obstruction as obstruction
 
     # the eliminator stays right, so only the scalar recomputation differs
-    monkeypatch.setattr(obstruction, "index_form_value", lambda order, beta: IndexFormValue(-1))
+    monkeypatch.setattr(obstruction, "index_form_value", lambda order, beta: -1)
     with pytest.raises(ConsistencyError, match="batched and scalar"):
         local_coset_check(4, 13, 13, trials=50, seed=0)
 
