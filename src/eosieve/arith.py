@@ -2,10 +2,11 @@
 
 Everything is computed with plain Python integers: trial division against a
 cached prime table, deterministic Miller-Rabin for cofactors that outlive the
-trial bound, and the usual modular helpers.  All functions are pure; the
-prime table and the list of trial divisors drawn from it are grown
-monotonically and never mutated in place, so they are safe to share across
-threads and processes.
+trial bound or that a walk proves prime early, and the usual modular
+helpers.  All functions are pure; the prime table is grown monotonically
+and never mutated in place, and the list of the primes below 2^16 drawn
+from it is built once, so both are safe to share across threads and
+processes.
 
 Primes come from one segmented sieve (Bays and Hudson, BIT 1977):
 _progression_mask marks the primes of a progression a mod M inside a
@@ -62,12 +63,18 @@ _SIEVE_BLOCK = 1 << 20
 _prime_cache = np.empty(0, dtype=np.int64)
 _prime_cache_limit = 1
 
-# (limit, the primes up to limit as Python ints) for trial division, replaced
-# as one tuple so that readers never see a limit its list does not cover.  The
-# limit grows in doubling steps (from 2^16, capped at _TRIAL_LIMIT) only when
-# a call needs a larger bound, so the list never holds the primes of more than
-# twice the largest bound needed.
-_trial: tuple[int, list[int]] = (1, [])
+# Trial division walks the primes below _SMALL as Python ints, from this list
+# (built once, on the first walk), and the larger ones on the prime table.
+_SMALL = 1 << 16
+_small_primes: list[int] = []
+
+# The walk over the small primes runs in chunks of _FIRST_CHUNK primes,
+# doubling up to _CHUNK_CAP; the end of a chunk is where it may stop early.
+_FIRST_CHUNK = 128
+_CHUNK_CAP = 1024
+
+# psi_13 of Sorenson and Webster: is_probable_prime is a proof below it.
+_PSI_13 = 3317044064679887385961981
 
 
 def _windows(start: int, stop: int):
@@ -159,15 +166,14 @@ def prime_array(limit: int) -> np.ndarray:
     return _prime_cache[:hi]
 
 
-def _trial_divisors(bound: int) -> list[int]:
-    """A list of Python-int primes, ascending, covering every prime <= bound."""
-    global _trial
-    limit, primes = _trial
-    if bound > limit:
-        limit = min(max(bound, 2 * limit, 1 << 16), _TRIAL_LIMIT)
-        primes = prime_array(limit).tolist()
-        _trial = (limit, primes)
-    return primes
+def _g_mod(g: int, qs: np.ndarray) -> np.ndarray:
+    """g >= 0 mod each q of a uint64 array of q < 2^32, by Horner's rule over
+    the 31-bit limbs of g."""
+    g_mod = np.zeros_like(qs)
+    for shift in range(31 * ((g.bit_length() - 1) // 31), -1, -31):
+        limb = np.uint64((g >> shift) & ((1 << 31) - 1))
+        g_mod = ((g_mod << np.uint64(31)) + limb) % qs
+    return g_mod
 
 
 def prime_sieve(limit: int) -> list[int]:
@@ -236,46 +242,90 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=256, typed=True)
-def factorize(x: int) -> Factorization:
-    """Prime factorization of a nonzero integer by trial division.
+def _trial_walk(n: int, factors: list[tuple[int, int]]) -> tuple[int, bool]:
+    """Divide out of n >= 1, into factors, each prime p <= _TRIAL_LIMIT with
+    p^2 <= the cofactor left; return the cofactor and whether the walk
+    proved it prime.
 
-    A cofactor that outlives trial division is accepted as a prime (or as
-    a prime square or cube) when it is below _TRIAL_LIMIT^2, where trial
-    division proves it, or when it passes is_probable_prime, which is a
-    proof below psi_13 (about 3.3e24).  Above psi_13 the cofactor is
-    accepted on the 13-base Miller-Rabin test alone: a probable prime, not
-    a proven one (``invariants 4 10^30+57`` factors its radicand so).
-    Any other cofactor raises FactorizationError.  Results are
-    cached per argument type (a Factorization is frozen); a refusal is
-    raised again on every call, since lru_cache does not cache exceptions.
+    The primes below _SMALL are walked one by one, in chunks of
+    _FIRST_CHUNK primes doubling up to _CHUNK_CAP; the larger ones one
+    window of the prime table at a time, its top doubling, by one numpy
+    remainder per window (_g_mod), so the table grows only as far as the
+    walk reaches.  At the end of a chunk or window reaching p, a cofactor
+    not tested before, below psi_13 and above 16 p^2 (the rest of the walk
+    costs more than the test) takes one is_probable_prime, which is a proof
+    there: a pass ends the walk.
     """
-    if x == 0:
-        raise ValueError("0 has no prime factorization")
-    sign = 1 if x > 0 else -1
-    n = abs(x)
-    factors: list[tuple[int, int]] = []
-    if n > 1:
-        for p in _trial_divisors(min(math.isqrt(n), _TRIAL_LIMIT)):
+    global _small_primes
+    if not _small_primes:
+        _small_primes = prime_array(_SMALL).tolist()
+    tested = 0
+    i, size = 0, _FIRST_CHUNK
+    while i < len(_small_primes):
+        for p in _small_primes[i : i + size]:
             if p * p > n:
-                break
+                return n, False
             if n % p == 0:
                 e = vp(n, p)
                 factors.append((p, e))
                 n //= p**e
-        if n > 1:
-            if n <= _TRIAL_LIMIT**2 or is_probable_prime(n):
-                factors.append((n, 1))
+        i += size
+        size = min(2 * size, _CHUNK_CAP)
+        if n != tested and 16 * p * p < n < _PSI_13:
+            tested = n
+            if is_probable_prime(n):
+                return n, True
+    lo = _SMALL
+    while lo < min(math.isqrt(n), _TRIAL_LIMIT):
+        hi = min(2 * lo, math.isqrt(n), _TRIAL_LIMIT)
+        ps = prime_array(hi)
+        ps = ps[np.searchsorted(ps, lo, side="right") :]
+        for p in ps[_g_mod(n, ps.view(np.uint64)) == 0].tolist():
+            e = vp(n, p)
+            factors.append((p, e))
+            n //= p**e
+        lo = hi
+        if n != tested and 16 * hi * hi < n < _PSI_13:
+            tested = n
+            if is_probable_prime(n):
+                return n, True
+    return n, False
+
+
+@lru_cache(maxsize=256, typed=True)
+def factorize(x: int) -> Factorization:
+    """Prime factorization of a nonzero integer by trial division.
+
+    The walk (_trial_walk) divides by the primes up to min(sqrt(n),
+    _TRIAL_LIMIT), n the cofactor left, and stops early once a cofactor
+    below psi_13 (about 3.3e24), far enough above the walk's reach, passes
+    is_probable_prime, which is a proof below psi_13.  Above psi_13, and
+    while the cofactor is composite, the walk goes to the end.  A cofactor
+    that outlives it is accepted as a prime (or as a prime square or cube)
+    when it is below _TRIAL_LIMIT^2, where the walk proves it, or when it
+    passes is_probable_prime.  Above psi_13 the cofactor is accepted on the
+    13-base Miller-Rabin test alone: a probable prime, not a proven one
+    (``invariants 4 10^30+57`` factors its radicand so).  Any other
+    cofactor raises FactorizationError.  Results are cached per argument
+    type (a Factorization is frozen); a refusal is raised again on every
+    call, since lru_cache does not cache exceptions.
+    """
+    if x == 0:
+        raise ValueError("0 has no prime factorization")
+    sign = 1 if x > 0 else -1
+    factors: list[tuple[int, int]] = []
+    n, proven = _trial_walk(abs(x), factors)
+    if n > 1:
+        if proven or n <= _TRIAL_LIMIT**2 or is_probable_prime(n):
+            factors.append((n, 1))
+        else:
+            for k in (2, 3):
+                r = integer_nth_root(n, k)
+                if r**k == n and is_probable_prime(r):
+                    factors.append((r, k))
+                    break
             else:
-                for k in (2, 3):
-                    r = integer_nth_root(n, k)
-                    if r**k == n and is_probable_prime(r):
-                        factors.append((r, k))
-                        break
-                else:
-                    raise FactorizationError(
-                        f"cofactor {n} exceeds desk-scale factorization"
-                    )
+                raise FactorizationError(f"cofactor {n} exceeds desk-scale factorization")
     return Factorization(value=x, factors=tuple(factors), sign=sign)
 
 

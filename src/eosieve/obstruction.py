@@ -33,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import (
+    _g_mod,
     _progression_primes,
     euler_phi,
     is_nth_power_residue,
@@ -178,15 +179,6 @@ def in_Pg(q: int, g: int, N: int) -> bool:
 _PG_BLOCK = 1 << 16
 
 
-def _g_mod(g: int, qs: np.ndarray) -> np.ndarray:
-    """g mod each q of a uint64 array, by Horner's rule over the 31-bit limbs of g."""
-    g_mod = np.zeros_like(qs)
-    for shift in range(31 * ((g.bit_length() - 1) // 31), -1, -31):
-        limb = np.uint64((g >> shift) & ((1 << 31) - 1))
-        g_mod = ((g_mod << np.uint64(31)) + limb) % qs
-    return g_mod
-
-
 def _pg_window(
     g: int, N: int, qs: np.ndarray, rng: random.Random, out: np.ndarray, filled: int
 ) -> tuple[int, int]:
@@ -195,7 +187,8 @@ def _pg_window(
 
     One pass over blocks of _PG_BLOCK primes: the residue test, one pow_mod
     per block, on g itself when g < 2^32 (pow_mod then multiplies by
-    unreduced powers g^d < 2^32) and on the reduced g otherwise.  q > 2N, so
+    unreduced powers g^d < 2^32) and otherwise on g mod each q, reduced by
+    arith._g_mod (the limb reduction trial division uses too).  q > 2N, so
     q | 2Ng exactly when q | g, which is exactly when the residue
     g^((q-1)/N) mod q is 0: the candidates are the nonzero residues and the
     members those above 1.  16 of the primes are drawn with rng (all, if

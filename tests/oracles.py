@@ -1,12 +1,13 @@
 """Reference counts and indices that the library is tested against."""
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from eosieve.arith import is_probable_prime, prime_sieve
-from eosieve.errors import NotClosedError
+from eosieve.arith import integer_nth_root, is_probable_prime, prime_sieve, vp
+from eosieve.errors import FactorizationError, NotClosedError
 from eosieve.experiments import _radicand_windows, _window_counts
 from eosieve.families import thin_Pn_member
 from eosieve.orders import (
@@ -29,6 +30,39 @@ def count_squarefree_not_1_mod_4(x_max: int) -> int:
     return int(np.count_nonzero(squarefree & (k % 4 != 1))) + int(
         np.count_nonzero(squarefree & (k % 4 != 3))
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _primes_to_a_million() -> list[int]:
+    return prime_sieve(10**6)
+
+
+def factorize_by_full_walk(x: int) -> tuple[tuple[int, int], ...]:
+    """The factors of x != 0 by the full trial walk, with no early stop:
+    division by each prime p <= 10^6 while p^2 <= the cofactor left, then
+    the cofactor rule of arith.factorize (a prime below 10^12 or on the
+    Miller-Rabin test, else a prime square or cube, else FactorizationError)."""
+    n = abs(x)
+    factors = []
+    for p in _primes_to_a_million():
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = vp(n, p)
+            factors.append((p, e))
+            n //= p**e
+    if n > 1:
+        if n <= 10**12 or is_probable_prime(n):
+            factors.append((n, 1))
+        else:
+            for k in (2, 3):
+                r = integer_nth_root(n, k)
+                if r**k == n and is_probable_prime(r):
+                    factors.append((r, k))
+                    break
+            else:
+                raise FactorizationError(f"cofactor {n} exceeds desk-scale factorization")
+    return tuple(factors)
 
 
 def admissible_counts_by_windows(patterns, xs) -> tuple[int, ...]:

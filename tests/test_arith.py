@@ -24,6 +24,7 @@ from eosieve.arith import (
     vp,
 )
 from eosieve.errors import FactorizationError
+from oracles import factorize_by_full_walk
 
 
 def test_prime_sieve_small():
@@ -315,12 +316,12 @@ def _trial_division(x: int) -> tuple[tuple[int, int], ...]:
 
 @pytest.fixture
 def cold_prime_tables(monkeypatch):
-    """An empty prime cache and trial-division list, restored after the test."""
+    """An empty prime table and list of small primes, restored after the test."""
     import eosieve.arith as arith
 
     monkeypatch.setattr(arith, "_prime_cache", np.empty(0, dtype=np.int64))
     monkeypatch.setattr(arith, "_prime_cache_limit", 1)
-    monkeypatch.setattr(arith, "_trial", (1, []))
+    monkeypatch.setattr(arith, "_small_primes", [])
     arith.factorize.cache_clear()
     return arith
 
@@ -352,14 +353,22 @@ def test_factorize_matches_trial_division_before_and_after_the_cache_grows(cold_
 
 
 def test_factorize_builds_its_trial_list_a_handful_of_times(cold_prime_tables, monkeypatch):
+    arith = cold_prime_tables
     calls = []
-    prime_array = cold_prime_tables.prime_array
+    depth = [0]
+    ensure_primes = arith._ensure_primes
 
     def counting(limit):
-        calls.append(limit)
-        return prime_array(limit)
+        # a growth factorize starts, not the square-root bootstrap inside one
+        if depth[0] == 0 and limit > arith._prime_cache_limit:
+            calls.append(limit)
+        depth[0] += 1
+        try:
+            ensure_primes(limit)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(cold_prime_tables, "prime_array", counting)
+    monkeypatch.setattr(arith, "_ensure_primes", counting)
     rng = random.Random(11)
     refused = 0
     for _ in range(1000):
@@ -370,16 +379,20 @@ def test_factorize_builds_its_trial_list_a_handful_of_times(cold_prime_tables, m
     assert 0 < refused < 1000
     # doubling from 2^16 to the trial bound of 10^6: 2^16, 2^17, 2^18, 2^19, 10^6
     assert len(calls) <= 5, calls
+    assert arith._prime_cache_limit >= 10**6, calls
 
 
 # the cases sit at a fixed stride of 256 trial primes, across the whole list
 @pytest.mark.parametrize("phase", ["cold", "warm"])
-def test_factorize_at_trial_chunk_boundaries(phase, cold_prime_tables):
+def test_factorize_at_trial_chunk_boundaries(phase, cold_prime_tables, monkeypatch):
     arith = cold_prime_tables
-    if phase == "warm":
-        factorize(2**89 - 1)  # a prime above the trial bound: the list covers 10^6
-        factorize.cache_clear()
     primes = prime_sieve(10**6)
+    # cold again, so that only factorize grows the table
+    monkeypatch.setattr(arith, "_prime_cache", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(arith, "_prime_cache_limit", 1)
+    if phase == "warm":
+        factorize(2**89 - 1)  # a prime above psi_13: the table covers 10^6
+        factorize.cache_clear()
     size = 256
     for k in (1, 2, 50, len(primes) // size - 1):
         last, first = primes[k * size - 1], primes[k * size]
@@ -395,8 +408,92 @@ def test_factorize_at_trial_chunk_boundaries(phase, cold_prime_tables):
         assert factorize(2 * q).factors == ((2, 1), (q, 1)), k
         assert factorize(below * q).factors == ((below, 1), (q, 1)), k
         assert factorize(q).factors == ((q, 1),), k
-    # grown from the cold table to the whole list of trial primes
-    assert arith._trial == (10**6, primes)
+    # grown from the cold table over every trial prime
+    assert arith._prime_cache_limit >= 10**6
+
+
+_PSI_13 = 3317044064679887385961981
+
+
+def _outcome(x):
+    """factorize(x).factors, or "refused" on a FactorizationError."""
+    try:
+        return factorize(x).factors
+    except FactorizationError:
+        return "refused"
+
+
+def _full_walk_outcome(x):
+    try:
+        return factorize_by_full_walk(x)
+    except FactorizationError:
+        return "refused"
+
+
+def _chunk_ends():
+    """Indices into the primes of the first prime after each chunk of the
+    walk over the primes below 2^16, and after each window of the walk above."""
+    import eosieve.arith as arith
+
+    small = len(prime_sieve(arith._SMALL))
+    ends, end, size = [], 0, arith._FIRST_CHUNK
+    while end < small:
+        end = min(end + size, small)
+        size = min(2 * size, arith._CHUNK_CAP)
+        ends.append(end)
+    return ends + [len(prime_sieve(arith._SMALL << k)) for k in (1, 2, 3)]
+
+
+def test_factorize_equals_the_full_walk():
+    rng = random.Random(27)
+    primes = prime_sieve(10**6)
+    middle = [p for p in primes if p > 1 << 16]
+    # the next prime from each start: 10^12 + 39 and 2^61 - 1 are prime
+    starts = [10**12 + 39, 2**61 - 1, 4 * 10**23 + 27, _PSI_13 - 302]
+    large = [next(q for q in range(x, x + 10**4) if is_probable_prime(q)) for x in starts]
+    assert large[-1] < _PSI_13
+    cases = [rng.randrange(2, 1 << 90) for _ in range(120)]
+    for _ in range(40):
+        small = math.prod(rng.choice(primes[:50]) ** rng.randrange(1, 3) for _ in range(3))
+        cases.append(small * rng.choice(middle))
+        cases.append(small * rng.choice(large))
+        cases.append(small * rng.choice(middle) * rng.choice(large))
+        cases.append(small * math.prod(rng.sample(middle, 2)) * rng.choice(large))
+    for k in _chunk_ends():
+        # composites across the end of a chunk: both its last prime and the
+        # next one divide, alone, squared and beside a large prime
+        last, first = primes[k - 1], primes[k]
+        for q in (1, large[0], large[-1]):
+            cases += [last * first * q, last**2 * q, 2 * first**2 * q]
+    refused = 0
+    for x in cases:
+        expected = _full_walk_outcome(x)
+        refused += expected == "refused"
+        assert _outcome(x) == expected == _outcome(-x), x
+    assert 0 < refused < len(cases)
+
+
+def test_factorize_stops_early_only_below_psi_13(monkeypatch):
+    import eosieve.arith as arith
+
+    p = 4722366482869645213603  # the largest prime below 2^72
+    c = 999983 * p
+    assert c > _PSI_13 > p
+    is_probable_prime = arith.is_probable_prime
+    # a Miller-Rabin test that passes c, as a strong pseudoprime would
+    monkeypatch.setattr(arith, "is_probable_prime", lambda n: n == c or is_probable_prime(n))
+    factorize.cache_clear()
+    try:
+        assert factorize(c).factors == ((999983, 1), (p, 1))
+    finally:
+        factorize.cache_clear()
+
+
+def test_factorize_proven_prime_cofactor_leaves_the_table_at_2_16(cold_prime_tables):
+    # the cofactor 553140817249 is prime: the walk stops after its first chunk
+    x = 8 * 131**3 * 553140817249
+    assert factorize(x).factors == ((2, 3), (131, 3), (553140817249, 1))
+    assert cold_prime_tables._prime_cache_limit == 2**16
 
 
 def test_factorize_refusal_above_the_trial_bound_is_unchanged():

@@ -104,6 +104,11 @@ GOLDEN = [
     # factorize accepts on the Miller-Rabin test alone
     ("pset 4 6 --limit 1000000", "407a3ee9cf0254043a0dfdd80f3e44da53e6679500548a5d26a61648dfe4999c"),
     ("invariants 4 1000000000000000000000000000057", "e9033b8ba574688dbcd41684338fb264c0c94bea16d238e7e9bafa487ada40c3"),
+    # captured while factorize walked every prime up to min(sqrt(n), 10^6):
+    # an 80-bit prime radicand below psi_13, and a scaled family whose
+    # discriminants leave large prime cofactors
+    ("invariants 4 1208925819614629174706189", "fef564c84a428930bd1f84a298fa14e05ade4d56c7d6a33084668498ae3d836f"),
+    ("family scaled --n 4 --coeffs 2,1,0,1 --t-min -1889 --t-max -1703", "bfd7f71188697d18756a9f76b06397d5bf09bce1fda2e28333ad50612a3b298b"),
 ]
 _VERSION_FIELD = re.compile(r'"version": "[^"]*"')
 

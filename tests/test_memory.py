@@ -80,3 +80,13 @@ def test_range_command_memory_growth_is_bounded(argv):
 def test_pg_commands_hold_one_window_and_one_copy_of_pg(argv, budget_mb):
     growth_mb = _growth_mb(argv)
     assert growth_mb < budget_mb, f"{argv}: peak RSS grew by {growth_mb} MB"
+
+
+# An 80-bit prime radicand below psi_13: factorize proves it prime after the
+# first chunk of its walk, with no list of the 78,498 primes below 10^6 as
+# Python ints (3.1 MB), which a walk to 10^6 grew by 5.0 MB.
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc")
+def test_prime_radicand_factorizes_without_a_list_of_trial_primes():
+    argv = ["invariants", "4", "1208925819614629174706189"]
+    growth_mb = _growth_mb(argv)
+    assert growth_mb < 3, f"{argv}: peak RSS grew by {growth_mb} MB"

@@ -74,7 +74,6 @@ def test_small_windows_give_the_default_window_results(window, monkeypatch):
     # a cold prime table, so that it too is grown window by window
     monkeypatch.setattr(arith, "_prime_cache", np.empty(0, dtype=np.int64))
     monkeypatch.setattr(arith, "_prime_cache_limit", 1)
-    monkeypatch.setattr(arith, "_trial", (1, []))
     # and no P_g read from the cache, where the default windows built it
     _pg_table.cache_clear()
     assert prime_array(X).tolist() == _plain_sieve(X)
