@@ -11,6 +11,15 @@ The public surface is re-exported here; the modules group as follows:
 - `families`: trinomial, twisted, thin, and general scaled families
 """
 
+import os
+import sys
+
+# numpy's OpenBLAS starts a worker thread at import, which busy-waits, and the
+# library does no float linear algebra that a second thread would speed up; a
+# value set by the caller, or a numpy imported first, is left alone
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .arith import (
     Factorization,
     factorize,

@@ -14,6 +14,9 @@ numpy arrays carry exact integers only, never floats.
 
 Saturation at a prime p enlarges an order by the elements of p-power
 denominator that are integral, iterating one enlargement round until stable.
+It may start from any order between Z[θ] and the p-saturation, and returns
+the same p-saturation: purefield starts x^n - m from the lifted saturation
+of x^(n/p) - m, so few rounds run at degree n.
 The default round computes the multiplier ring of the p-radical by exact
 arithmetic mod p^2 on integer arrays, with the kernels over GF(p) taken by
 XOR elimination on rows packed into integers at p = 2 and by Gauss-Jordan
@@ -702,14 +705,22 @@ def equation_order_index(
 
     Returns (g, maximal_order) where g is the product of the index gains at
     each candidate.  The result is the full maximal order whenever the
-    candidates cover every prime whose square divides disc(f).  The basis is
-    lower triangular over denominator d, so g = d^n / prod of its pivots.
+    candidates cover every prime whose square divides disc(f).
     """
     order = EquationOrder.power_order(poly)
     for p in sorted(set(int(q) for q in candidate_primes)):
         order = p_saturate(order, p)
+    return _power_index(order), order
+
+
+def _power_index(order: EquationOrder) -> int:
+    """[order : Z[x]/(f)] for an order that contains the power order: the
+    basis is lower triangular over denominator d, so it is d^n / prod of its
+    pivots."""
     pivots = math.prod(row[i] for i, row in enumerate(order.basis_numerators))
     g, rest = divmod(order.denominator**order.degree, pivots)
     if rest:
-        raise ConsistencyError(f"pivot product {pivots} does not divide d^n for Z[x]/({poly})")
-    return g, order
+        raise ConsistencyError(
+            f"pivot product {pivots} does not divide d^n for Z[x]/({order.poly})"
+        )
+    return g

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from importlib import resources
 
 import jsonschema
@@ -109,6 +110,10 @@ GOLDEN = [
     # discriminants leave large prime cofactors
     ("invariants 4 1208925819614629174706189", "fef564c84a428930bd1f84a298fa14e05ade4d56c7d6a33084668498ae3d836f"),
     ("family scaled --n 4 --coeffs 2,1,0,1 --t-min -1889 --t-max -1703", "bfd7f71188697d18756a9f76b06397d5bf09bce1fda2e28333ad50612a3b298b"),
+    # captured while every p-saturation of x^n - m started from Z[theta],
+    # where these took 14 s and 3 s
+    ("invariants 81 10", "3d97a0679c0e6f0cf07db9c17a67359668d0c920037e7e66869e2f9afefe7433"),
+    ("experiment exceptional --n 32 --x-max 1000", "8bd202b289953b6a50168852e24b2c620e78b177adb5fc9e7f185711ad011aa4"),
 ]
 _VERSION_FIELD = re.compile(r'"version": "[^"]*"')
 
@@ -141,27 +146,31 @@ def test_invariants_saturates_once_per_class(capsys, monkeypatch):
 
     _, plain = _run(capsys, ["invariants", "4", "13"])
     purefield._class_index.cache_clear()
+    monkeypatch.setattr(purefield, "_confirmed_tower", Counter())
     saturated = []
-    saturate = purefield.equation_order_index
+    saturate = purefield._pure_saturation
     p_saturate = orders.p_saturate
 
-    def counting(poly, primes):
-        saturated.append((poly, list(primes)))
-        return saturate(poly, primes)
+    def counting(n, p, m):
+        saturated.append((n, p, m))
+        return saturate(n, p, m)
 
     rounds = []
 
     def counting_rounds(order, p):
-        rounds.append(p)
+        rounds.append((order.degree, p))
         return p_saturate(order, p)
 
-    monkeypatch.setattr(purefield, "equation_order_index", counting)
+    monkeypatch.setattr(purefield, "_pure_saturation", counting)
+    monkeypatch.setattr(purefield, "p_saturate", counting_rounds)
     monkeypatch.setattr(orders, "p_saturate", counting_rounds)
     rc, out = _run(capsys, ["invariants", "4", "13"])
     assert rc == 0 and out == plain
     # 13 = 5 mod 8, and the least squarefree member of that class is -3
-    assert saturated == [(purefield.pure_poly(4, -3), [2])]
-    assert rounds == [2]
+    assert saturated == [(4, 2, -3)]
+    # x^2 + 3, then x^4 + 3 from its lift, confirmed by the plain saturation
+    # of x^4 + 3, the first at degree 4 in this (fresh) count
+    assert rounds == [(2, 2), (4, 2), (4, 2)]
     saturated.clear()
     rounds.clear()
     rc, out = _run(capsys, ["invariants", "4", "13"])
@@ -581,6 +590,29 @@ def test_exit_code_internal_consistency(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert rc == 3
     assert "consistency" in captured.err
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="threads are counted in /proc")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_leaves_openblas_one_thread_unless_told_otherwise(preset):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = (
+        "import os, eosieve; "
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    threads, setting = proc.stdout.split()
+    if preset is None:
+        assert (threads, setting) == ("1", "1")
+    else:
+        assert setting == preset
 
 
 def test_console_entry_point():

@@ -364,13 +364,13 @@ def test_exceptional_scan_saturates_once_per_class_plus_the_sample(monkeypatch):
 
     purefield._class_index.cache_clear()
     calls = []
-    saturate = purefield.equation_order_index
+    saturate = purefield._pure_saturation
 
-    def counting(poly, primes):
-        calls.append(poly)
-        return saturate(poly, primes)
+    def counting(n, p, m):
+        calls.append(m)
+        return saturate(n, p, m)
 
-    monkeypatch.setattr(purefield, "equation_order_index", counting)
+    monkeypatch.setattr(purefield, "_pure_saturation", counting)
     exceptional_scan(13, 300, [50, 100, 300])
     classes = 13**2 - 1  # residues mod 13^2 that hold a squarefree radicand
     assert purefield._class_index.cache_info().currsize == classes

@@ -1,6 +1,6 @@
 """Range commands at X = 3*10^7 (the exceptional scan at 10^7, where the
-whole range took 716 MB), the degree-48 exceptional scan and `pset` at 10^9
-run within a fixed memory budget.
+whole range took 716 MB), the degree-48 exceptional scan, `pset` at 10^9 and
+`invariants 64 5` run within a fixed memory budget.
 
 Each command runs in a fresh interpreter that imports the CLI first; the
 growth of its peak resident set over that import-only baseline must stay
@@ -90,3 +90,12 @@ def test_prime_radicand_factorizes_without_a_list_of_trial_primes():
     argv = ["invariants", "4", "1208925819614629174706189"]
     growth_mb = _growth_mb(argv)
     assert growth_mb < 3, f"{argv}: peak RSS grew by {growth_mb} MB"
+
+
+# x^64 - 5 saturated at 2 from the lifted 2-saturation of x^32 - 5 (16 MB of
+# growth), not from Z[theta] in 33 rounds of degree-64 tables (44 MB)
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc")
+def test_high_degree_saturation_starts_from_the_tower():
+    argv = ["invariants", "64", "5"]
+    growth_mb = _growth_mb(argv)
+    assert growth_mb < 25, f"{argv}: peak RSS grew by {growth_mb} MB"

@@ -1,6 +1,10 @@
+import ast
 import math
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,7 @@ from eosieve.purefield import (
 )
 
 WORKERS = min(4, os.cpu_count() or 1)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _saturation_indices(args) -> list[tuple[int, int]]:
@@ -180,6 +185,81 @@ def test_closed_form_matches_saturation_at_every_residue(n):
                 assert equation_order_index(pure_poly(n, m), [p])[0] == g, (n, p, m)
 
 
+@pytest.mark.parametrize("n", [4, 8, 9, 12, 16])
+def test_tower_saturation_matches_plain_saturation_at_every_class(n, monkeypatch):
+    # no plain confirmation inside the call: this test makes every one
+    monkeypatch.setattr(purefield, "_TOWER_CONFIRMATIONS", 0)
+    for p in prime_divisors(n):
+        modulus = p ** (vp(n, p) + 1)
+        for r in range(modulus):
+            if r % (p * p) == 0:
+                continue
+            for m in _least_members(r, modulus):
+                plain = equation_order_index(pure_poly(n, m), [p])[1]
+                assert purefield._pure_saturation(n, p, m) == plain, (n, p, m)
+
+
+@pytest.mark.parametrize("n, p, m", [(8, 2, 17), (9, 3, 10), (16, 2, 33)])
+@pytest.mark.parametrize("mutation", ["drop", "double"])
+def test_tower_start_that_is_not_the_lift_raises(n, p, m, mutation, monkeypatch):
+    monkeypatch.setattr(purefield, "_TOWER_CONFIRMATIONS", 0)
+    lift = purefield._tower_rows
+    for row in range(n):
+
+        def mutated(sub, q):
+            rows = lift(sub, q)
+            if len(rows) == n:  # the lift to degree n, not those below it
+                if mutation == "drop":
+                    del rows[row]
+                else:
+                    rows[row] = [2 * x for x in rows[row]]
+            return rows
+
+        monkeypatch.setattr(purefield, "_tower_rows", mutated)
+        # the start's own checks: full rank (_hnf), 1 in the lattice (from_basis)
+        # and closure under multiplication (the table build)
+        with pytest.raises(ValueError):
+            purefield._pure_saturation(n, p, m)
+
+
+_CONFIRMATION_PROBE = """
+import sys
+from collections import Counter
+import eosieve.cli, eosieve.purefield as purefield
+plain = Counter()
+saturate = purefield.equation_order_index
+def counting(poly, primes):
+    plain[poly.degree] += 1
+    return saturate(poly, primes)
+purefield.equation_order_index = counting
+eosieve.cli.main(sys.argv[1:])
+print(dict(plain), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, confirmations",
+    [
+        ("experiment exceptional --n 12 --x-max 1000", {12: 2}),
+        ("experiment exceptional --n 16 --x-max 1000", {16: 2}),
+        ("experiment exceptional --n 32 --x-max 1000", {32: 2}),
+        ("invariants 64 5", {}),
+    ],
+)
+def test_tower_saturations_are_confirmed_twice_per_degree_up_to_32(argv, confirmations):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("EOS_")}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CONFIRMATION_PROBE, *argv.split()],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stderr.strip()) == confirmations
+
+
 def test_quartic_local_index_table():
     # g_2 is 8 for m = 1 mod 8, 4 for m = 5 mod 8, 1 otherwise; 0 marks 4 | m
     assert _local_index_table(4, 2) == (0, 8, 1, 1, 0, 4, 1, 1)
@@ -221,6 +301,18 @@ def test_class_confirmation_is_not_cached_when_it_raises(monkeypatch, fresh_tabl
         with pytest.raises(ConsistencyError, match="saturation of m = -3 gives 4"):
             pure_index(4, 13)
     assert purefield._class_index.cache_info().currsize == 0
+
+
+def test_maximal_order_guard(monkeypatch, fresh_tables):
+    formula = purefield._closed_form
+    monkeypatch.setattr(
+        purefield,
+        "_closed_form",
+        lambda n, p, r: formula(n, p, 6 - r if (n, p) == (4, 2) and r in (1, 5) else r),
+    )
+    assert pure_maximal_order(4, 3)[0] == 1
+    with pytest.raises(ConsistencyError, match="index 4 for n=4, m=13 against .*\\[8\\]"):
+        pure_maximal_order(4, 13)
 
 
 def test_local_index_table_criterion_guard(monkeypatch, fresh_tables):
