@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .arith import is_squarefree, prime_divisors
+from .arith import prime_divisors
 from .errors import ConsistencyError
 from .experiments import (
     alpha_density,
@@ -116,10 +116,6 @@ def _strictly_decreasing(seq) -> bool:
 
 def _run_invariants(p):
     n, m = p["n"], p["m"]
-    if n < 2 or abs(m) <= 1:
-        raise ValueError("requires n >= 2 and |m| > 1")
-    if not is_squarefree(m):
-        raise ValueError("m not squarefree")
     inv = pure_index(n, m)
     cert = _certificate(n, m, inv.g)
     fields = {

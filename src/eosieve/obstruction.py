@@ -36,7 +36,6 @@ from .arith import (
     _g_mod,
     _progression_primes,
     euler_phi,
-    is_nth_power_residue,
     is_probable_prime,
     perfect_power_decompose,
     prime_divisors,
@@ -171,7 +170,7 @@ def in_Pg(q: int, g: int, N: int) -> bool:
         raise ValueError("requires g >= 2 and N >= 2")
     if q < 2 or (2 * N * g) % q == 0 or q % (2 * N) != 1 or not is_probable_prime(q):
         return False
-    return not is_nth_power_residue(g, N, q)
+    return pow(g % q, (q - 1) // N, q) != 1
 
 
 # Primes per block of the P_g residue pass: each of its uint64 arrays

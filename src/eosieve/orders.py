@@ -14,22 +14,22 @@ numpy arrays carry exact integers only, never floats.
 
 Saturation at a prime p enlarges an order by the elements of p-power
 denominator that are integral, iterating one enlargement round until stable.
-It may start from any order between Z[θ] and the p-saturation, and returns
-the same p-saturation: purefield starts x^n - m from the lifted saturation
-of x^(n/p) - m, so few rounds run at degree n.
-The default round computes the multiplier ring of the p-radical by exact
-arithmetic mod p^2 on integer arrays, with the kernels over GF(p) taken by
-XOR elimination on rows packed into integers at p = 2 and by Gauss-Jordan
-elimination on Python rows at odd p.  The round's fixed points are the
-p-maximal orders (an order admits no integral element of denominator p
-outside itself exactly when it is p-maximal), so the test suite's
-brute-force oracle, which adjoins every such element, reaches the same order.
+The round computes the multiplier ring of the p-radical by exact arithmetic
+mod p^2 on integer arrays, with the kernels over GF(p) taken by XOR
+elimination on rows packed into integers at p = 2 and by Gauss-Jordan
+elimination on Python rows at odd p.  Its fixed points are the p-maximal
+orders, so the test suite's brute-force oracle reaches the same order.
 
-A power order is first screened by Dedekind's criterion over GF(p), a few
-polynomial gcds; when it is p-maximal no round runs.  Two guards raise
-ConsistencyError: a "not p-maximal" verdict must be followed by a first
-round that enlarges the order, and the first _DEDEKIND_CONFIRMATIONS
-"p-maximal" verdicts per degree in a process are confirmed by a full round.
+Rounds from any order between Z[θ] and the p-saturation reach the same
+p-saturation, and p_saturate owns where they start for a power order: when
+f(x) = F(x^p), p^2 | deg f and p does not divide f(0), from the lifted
+p-saturation of F's power order, so few rounds run at deg f; otherwise
+after Dedekind's criterion over GF(p), and none when it says p-maximal.
+Three guards raise ConsistencyError: a "not p-maximal" verdict must be
+followed by a first round that enlarges the order, and the first verdicts
+"p-maximal" (_DEDEKIND_CONFIRMATIONS per degree and process) and tower
+saturations (_TOWER_CONFIRMATIONS per degree up to 32) are confirmed by a
+full round and by the plain path.  equation_order_index sums p-saturations.
 """
 
 from __future__ import annotations
@@ -656,6 +656,79 @@ def _dedekind_p_maximal(poly: MonicPolynomial, p: int) -> bool:
 # degree, in each process
 _DEDEKIND_CONFIRMATIONS = 8
 _confirmed_maximal: Counter[int] = Counter()
+# Tower saturations that the plain path confirms, per requested degree, in each
+# process; the plain path takes about 3 s for x^64 - 5 and 14 s for x^81 - 10
+_TOWER_CONFIRMATIONS = 2
+_TOWER_CONFIRMATION_DEGREE = 32
+_confirmed_tower: Counter[int] = Counter()
+
+
+def _rounds(order: EquationOrder, p: int) -> EquationOrder:
+    """Enlargement rounds from order until one is stable."""
+    while True:
+        bigger = _saturation_round(order, p)
+        if bigger == order:
+            return order
+        order = bigger
+
+
+def _plain_saturation(power: EquationOrder, p: int) -> EquationOrder:
+    """The p-saturation of a power order: Dedekind's screen, then rounds.
+
+    A "p-maximal" verdict returns the order as it is, after a confirming
+    round for the first _DEDEKIND_CONFIRMATIONS per degree; after a "not
+    p-maximal" one the first round must enlarge the order.
+    """
+    n = power.degree
+    maximal = _dedekind_p_maximal(power.poly, p)
+    if maximal and _confirmed_maximal[n] >= _DEDEKIND_CONFIRMATIONS:
+        return power
+    bigger = _saturation_round(power, p)
+    if (bigger == power) != maximal:
+        raise ConsistencyError(
+            f"Dedekind's criterion says Z[x]/({power.poly}) is "
+            f"{'' if maximal else 'not '}{p}-maximal, but a saturation round "
+            f"{'enlarges' if maximal else 'does not enlarge'} it"
+        )
+    if maximal:
+        _confirmed_maximal[n] += 1
+        return power
+    return _rounds(bigger, p)
+
+
+def _tower_rows(sub: EquationOrder, p: int) -> list[list[int]]:
+    """The rows w_i theta^j, j < p, of O_L[theta] over sub's denominator, for
+    an order O_L of L = Q(phi), phi = theta^p, with basis w_i in powers of
+    phi: the coefficient of phi^k in w_i goes to column p k + j."""
+    n = sub.degree * p
+    rows = []
+    for omega in sub.basis_numerators:
+        for j in range(p):
+            row = [0] * n
+            row[j::p] = omega
+            rows.append(row)
+    return rows
+
+
+def _tower_saturation(power: EquationOrder, p: int) -> EquationOrder | None:
+    """The p-saturation of the power order from its tower, or None if f has none.
+
+    f has one when f(x) = F(x^p), p^2 | deg f and p does not divide f(0).
+    The p-saturation O_L of F's power order (by this rule again, else the
+    plain path), in powers of phi = theta^p, is lifted to O_L[theta]
+    (_tower_rows), a ring between Z[theta] and its p-saturation, and the
+    rounds run from there.  A lattice that is not a ring fails its table
+    build (NotClosedError), and the final stable round proves p-maximality.
+    """
+    n, coeffs = power.degree, power.poly.coeffs
+    if n % (p * p) or coeffs[0] % p == 0 or any(c for i, c in enumerate(coeffs) if i % p):
+        return None
+    inner = EquationOrder.power_order(MonicPolynomial(coeffs[::p]))
+    sub = _tower_saturation(inner, p) or _plain_saturation(inner, p)
+    if sub == inner:  # the lift is Z[theta], which p_saturate would send back here
+        return _plain_saturation(power, p)
+    start = EquationOrder.from_basis(power.poly, _tower_rows(sub, p), sub.denominator)
+    return _rounds(start, p)
 
 
 def p_saturate(order: EquationOrder, p: int) -> EquationOrder:
@@ -666,50 +739,44 @@ def p_saturate(order: EquationOrder, p: int) -> EquationOrder:
     still admits integral elements of denominator p and fixes exactly the
     p-maximal ones, so the loop terminates at the p-saturation.
 
-    A power order is first screened by Dedekind's criterion.  A "p-maximal"
-    verdict returns the order as it is; the first _DEDEKIND_CONFIRMATIONS
-    such verdicts per degree are confirmed by a full round.  A "not
-    p-maximal" verdict runs the rounds, and the first one must enlarge the
-    order.  Either disagreement raises ConsistencyError; a p that is not
-    prime raises ValueError.
+    A power order starts from its tower when it has one (_tower_saturation)
+    and takes the plain path (_plain_saturation) otherwise.  The first
+    _TOWER_CONFIRMATIONS tower saturations per degree up to
+    _TOWER_CONFIRMATION_DEGREE must equal the plain path, or
+    ConsistencyError is raised; a p that is not prime raises ValueError.
     """
     if not is_probable_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
-    if order.is_power_order():
-        n = order.degree
-        maximal = _dedekind_p_maximal(order.poly, p)
-        if maximal and _confirmed_maximal[n] >= _DEDEKIND_CONFIRMATIONS:
-            return order
-        bigger = _saturation_round(order, p)
-        if (bigger == order) != maximal:
-            raise ConsistencyError(
-                f"Dedekind's criterion says Z[x]/({order.poly}) is "
-                f"{'' if maximal else 'not '}{p}-maximal, but a saturation round "
-                f"{'enlarges' if maximal else 'does not enlarge'} it"
-            )
-        if maximal:
-            _confirmed_maximal[n] += 1
-            return order
-        order = bigger
-    while True:
-        bigger = _saturation_round(order, p)
-        if bigger == order:
-            return order
-        order = bigger
+    if not order.is_power_order():
+        return _rounds(order, p)
+    tower = _tower_saturation(order, p)
+    if tower is None:
+        return _plain_saturation(order, p)
+    n = order.degree
+    if n <= _TOWER_CONFIRMATION_DEGREE and _confirmed_tower[n] < _TOWER_CONFIRMATIONS:
+        if _plain_saturation(order, p) != tower:
+            raise ConsistencyError(f"tower and plain {p}-saturations of Z[x]/({order.poly}) differ")
+        _confirmed_tower[n] += 1
+    return tower
 
 
-def equation_order_index(
-    poly: MonicPolynomial, candidate_primes
-) -> tuple[int, EquationOrder]:
+def equation_order_index(poly: MonicPolynomial, candidate_primes) -> tuple[int, EquationOrder]:
     """Index of Z[x]/(f) in its saturation at the given candidate primes.
 
-    Returns (g, maximal_order) where g is the product of the index gains at
-    each candidate.  The result is the full maximal order whenever the
-    candidates cover every prime whose square divides disc(f).
+    Returns (g, order): order is the sum of the p-saturations of Z[theta]
+    (p_saturate, each from Z[theta]) and g its index, the product of theirs.
+    It is the full maximal order whenever the candidates cover every prime
+    whose square divides disc(f).
     """
-    order = EquationOrder.power_order(poly)
-    for p in sorted(set(int(q) for q in candidate_primes)):
-        order = p_saturate(order, p)
+    power = EquationOrder.power_order(poly)
+    primes = sorted(set(int(q) for q in candidate_primes))
+    local = [order for order in (p_saturate(power, p) for p in primes) if order != power]
+    if len(local) < 2:
+        order = local[0] if local else power
+    else:
+        d = math.lcm(*(o.denominator for o in local))
+        rows = [[x * (d // o.denominator) for x in row] for o in local for row in o.basis_numerators]
+        order = EquationOrder.from_basis(poly, rows, d)
     return _power_index(order), order
 
 

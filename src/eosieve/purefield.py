@@ -10,20 +10,17 @@ pure family's one index layer: point queries multiply confirmed entries
 (_index_values), and range scans tile the signed pattern of "g(m) = g"
 (_index_pattern).  Two guards raise ConsistencyError: every entry must agree
 with the congruence criterion, and _saturated_index compares an entry with
-saturation at p, once per residue class and process and at the seeded
-radicands of every exceptional scan.  Saturation at p (_pure_saturation)
-starts, when p^2 | n and p does not divide m, from the lifted p-saturation
-of x^(n/p) - m, which the plain saturation of Z[alpha] confirms twice per
-degree up to 32.  pure_maximal_order sums these p-saturations, since it
-returns the maximal order itself, and its index must equal the product of
-the table entries.
+orders.p_saturate at p, once per residue class and process and at the
+seeded radicands of every exceptional scan.  pure_maximal_order returns the
+maximal order itself, from orders.equation_order_index, and its index must
+equal the product of the table entries.  The saturations and their
+cross-checks live in orders; this module holds closed forms and guards.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -152,19 +149,15 @@ def _check_radicand(n: int, m: int) -> None:
 
 
 def pure_maximal_order(n: int, m: int) -> tuple[int, EquationOrder]:
-    """Index g(m) and the maximal order, the sum of the p-saturations of
-    Z[alpha] at the primes p | n (_pure_saturation).
+    """Index g(m) and the maximal order, the saturation of Z[alpha] at the
+    primes p | n (orders.equation_order_index).
 
     Only primes p | n can divide g(m), so these suffice.  ConsistencyError
     when g differs from the product of the _local_index_table entries.
     """
     _check_radicand(n, m)
     primes = prime_divisors(n)
-    local = [_pure_saturation(n, p, m) for p in primes]
-    d = math.lcm(*(order.denominator for order in local))
-    rows = [[x * (d // o.denominator) for x in row] for o in local for row in o.basis_numerators]
-    maximal = EquationOrder.from_basis(pure_poly(n, m), rows, d)
-    g = _power_index(maximal)
+    g, maximal = equation_order_index(pure_poly(n, m), primes)
     tables = [_local_index_table(n, p) for p in primes]
     entries = [t[m % len(t)] for t in tables]
     if g != math.prod(entries):
@@ -251,69 +244,14 @@ def _index_pattern(n: int, g: int, x_max: int) -> np.ndarray:
     return pattern
 
 
-# Tower saturations (_pure_saturation) that plain saturation of Z[alpha]
-# confirms, per degree up to _TOWER_CONFIRMATION_DEGREE, in each process;
-# plain saturation takes about 3 s at n = 64 and 14 s at n = 81
-_TOWER_CONFIRMATIONS = 2
-_TOWER_CONFIRMATION_DEGREE = 32
-_confirmed_tower: Counter[int] = Counter()
-
-
-def _tower_rows(sub: EquationOrder, p: int) -> list[list[int]]:
-    """The rows w_i alpha^j, j < p, of O_L[alpha] over sub's denominator, for
-    an order O_L of L = Q(phi), phi = alpha^p, with basis w_i in powers of
-    phi: the coefficient of phi^k in w_i goes to column p k + j."""
-    n = sub.degree * p
-    rows = []
-    for omega in sub.basis_numerators:
-        for j in range(p):
-            row = [0] * n
-            row[j::p] = omega
-            rows.append(row)
-    return rows
-
-
-def _pure_saturation(n: int, p: int, m: int) -> EquationOrder:
-    """The p-saturation of Z[alpha] for x^n - m, squarefree m and p | n.
-
-    When p^2 | n and p does not divide m, it is built up the degrees
-    n / p^k, from the one whose v_p is 1, saturated as below.  At each degree
-    above, the saturation O_L of the one below, in powers of phi = alpha^p,
-    is lifted to O_L[alpha] (_tower_rows).  That order lies between Z[alpha]
-    and its p-saturation and already holds all of g_p(m), or all but
-    p^(n/p^s) with s = v_p(n) (_closed_form), so p_saturate runs few rounds
-    from it.  Its table build raises NotClosedError on a lattice that is not
-    a ring, and its final stable round proves p-maximality.  The first
-    _TOWER_CONFIRMATIONS of these per degree up to _TOWER_CONFIRMATION_DEGREE
-    in a process must equal the plain saturation of Z[alpha], or
-    ConsistencyError is raised.  Every other case is p_saturate of the power
-    order, which first screens it by Dedekind's criterion.
-    """
-    if n % (p * p) or m % p == 0:
-        return p_saturate(EquationOrder.power_order(pure_poly(n, m)), p)
-    degree = n // p ** (vp(n, p) - 1)
-    order = p_saturate(EquationOrder.power_order(pure_poly(degree, m)), p)
-    while degree < n:
-        degree *= p
-        rows = _tower_rows(order, p)
-        start = EquationOrder.from_basis(pure_poly(degree, m), rows, order.denominator)
-        order = p_saturate(start, p)
-    if n <= _TOWER_CONFIRMATION_DEGREE and _confirmed_tower[n] < _TOWER_CONFIRMATIONS:
-        if equation_order_index(pure_poly(n, m), [p])[1] != order:
-            raise ConsistencyError(
-                f"tower and plain {p}-saturations of Z[x]/({pure_poly(n, m)}) differ"
-            )
-        _confirmed_tower[n] += 1
-    return order
-
-
 def _saturated_index(n: int, p: int, m: int) -> int:
     """g_p(m) for squarefree m, the index of Z[alpha] in its p-saturation
-    (_pure_saturation); ConsistencyError when it differs from the entry of
+    (orders.p_saturate, from the tower when p^2 | n and p does not divide
+    m); ConsistencyError when it differs from the entry of
     _local_index_table(n, p)."""
     table = _local_index_table(n, p)
     r = m % len(table)
-    g = _power_index(_pure_saturation(n, p, m))
+    g = _power_index(p_saturate(EquationOrder.power_order(pure_poly(n, m)), p))
     if g != table[r]:
         raise ConsistencyError(
             f"closed-form local index {table[r]} at p={p} for n={n}, "
@@ -325,9 +263,8 @@ def _saturated_index(n: int, p: int, m: int) -> int:
 @lru_cache(maxsize=None)
 def _class_index(n: int, p: int, r: int) -> int:
     """g_p of the residue class r mod p^(v_p(n)+1), which must hold a
-    squarefree radicand, confirmed once per process by _saturated_index (the
-    tower saturation of _pure_saturation) at its squarefree member least in
-    (|m|, m).  A class that raises is not cached, so it is checked again on
+    squarefree radicand, confirmed once per process by _saturated_index at
+    its squarefree member least in (|m|, m).  A class that raises is not cached, so it is checked again on
     its next read."""
     modulus = p ** (vp(n, p) + 1)
     members = (m for t in itertools.count(2) for m in (-t, t) if (m - r) % modulus == 0)

@@ -16,6 +16,7 @@ from eosieve.orders import (
     _reduce_mod_poly,
     multiplication_table,
     order_index,
+    p_saturate,
 )
 
 
@@ -189,3 +190,13 @@ def ring_generated(poly, rows, denominator: int) -> EquationOrder:
         rows = [[x * den for x in row] for row in basis]
         rows += [_reduce_mod_poly(_poly_mul(u, v), poly) for u, v in products]
         denominator = den * den
+
+
+def equation_order_index_sequential(poly, candidate_primes) -> tuple[int, EquationOrder]:
+    """The saturation of Z[theta] at the candidates, each from the order the
+    one before returned, and its lattice index over Z[theta] (order_index)."""
+    power = EquationOrder.power_order(poly)
+    order = power
+    for p in sorted(set(int(q) for q in candidate_primes)):
+        order = p_saturate(order, p)
+    return order_index(power, order), order

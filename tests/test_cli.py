@@ -16,6 +16,7 @@ from eosieve import cli, experiments
 from eosieve.cli import main
 from eosieve.errors import ConsistencyError
 from eosieve.experiments import ExceptionalScanReport
+from eosieve.purefield import pure_poly
 
 
 def _run(capsys, argv):
@@ -114,6 +115,10 @@ GOLDEN = [
     # where these took 14 s and 3 s
     ("invariants 81 10", "3d97a0679c0e6f0cf07db9c17a67359668d0c920037e7e66869e2f9afefe7433"),
     ("experiment exceptional --n 32 --x-max 1000", "8bd202b289953b6a50168852e24b2c620e78b177adb5fc9e7f185711ad011aa4"),
+    # captured while only x^n - m saturated from a tower, where these took
+    # 1.0 s and 1.2 s: f = F(x^2) with p = 2 not dividing f(0) at odd t
+    ("family scaled --n 8 --coeffs 1,0,0,0,1,0,0,0 --t-min -300 --t-max 300", "90350c440ee0a0a26458c3da5330551813b0e5f440ff73919be302102dd84320"),
+    ("family scaled --n 16 --coeffs 1,0,1,0,0,0,0,0,1,0,0,0,0,0,0,0 --t-min 2 --t-max 40", "65ccc6387dbbd3c37ecf4d6e4634842c2aceb1f525da59de0f026c17fbdd03a6"),
 ]
 _VERSION_FIELD = re.compile(r'"version": "[^"]*"')
 
@@ -146,36 +151,26 @@ def test_invariants_saturates_once_per_class(capsys, monkeypatch):
 
     _, plain = _run(capsys, ["invariants", "4", "13"])
     purefield._class_index.cache_clear()
-    monkeypatch.setattr(purefield, "_confirmed_tower", Counter())
+    monkeypatch.setattr(orders, "_confirmed_tower", Counter())
     saturated = []
-    saturate = purefield._pure_saturation
-    p_saturate = orders.p_saturate
+    p_saturate = purefield.p_saturate
 
-    def counting(n, p, m):
-        saturated.append((n, p, m))
-        return saturate(n, p, m)
-
-    rounds = []
-
-    def counting_rounds(order, p):
-        rounds.append((order.degree, p))
+    def counting(order, p):
+        saturated.append((order.poly, p))
         return p_saturate(order, p)
 
-    monkeypatch.setattr(purefield, "_pure_saturation", counting)
-    monkeypatch.setattr(purefield, "p_saturate", counting_rounds)
-    monkeypatch.setattr(orders, "p_saturate", counting_rounds)
+    monkeypatch.setattr(purefield, "p_saturate", counting)
     rc, out = _run(capsys, ["invariants", "4", "13"])
     assert rc == 0 and out == plain
     # 13 = 5 mod 8, and the least squarefree member of that class is -3
-    assert saturated == [(4, 2, -3)]
-    # x^2 + 3, then x^4 + 3 from its lift, confirmed by the plain saturation
-    # of x^4 + 3, the first at degree 4 in this (fresh) count
-    assert rounds == [(2, 2), (4, 2), (4, 2)]
+    assert saturated == [(pure_poly(4, -3), 2)]
+    # x^4 + 3 starts from its tower, the first at degree 4 in this (fresh)
+    # count, so the plain path confirms it
+    assert orders._confirmed_tower == {4: 1}
     saturated.clear()
-    rounds.clear()
     rc, out = _run(capsys, ["invariants", "4", "13"])
     assert rc == 0 and out == plain
-    assert saturated == [] and rounds == []
+    assert saturated == []
 
 
 def test_invariants_golden_m2(capsys):
@@ -203,11 +198,28 @@ def test_invariants_rejects_non_squarefree(capsys):
 
 
 def test_invariants_rejects_minus_four(capsys):
-    # -4 fails squarefreeness before the irreducibility check can fire
+    # x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2): pure_index checks
+    # irreducibility before squarefreeness
     rc = main(["invariants", "4", "-4"])
     captured = capsys.readouterr()
     assert rc == 2
-    assert "squarefree" in captured.err
+    assert "reducible" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("invariants 1 5", "requires n >= 2 and |m| > 1"),
+        ("invariants 4 1", "requires n >= 2 and |m| > 1"),
+        ("invariants 4 12", "m = 12 is not squarefree"),
+        ("invariants 4 -4", "x^4 - (-4) is reducible over Q"),
+    ],
+)
+def test_invariants_precondition_violations_exit_2(capsys, argv, message):
+    rc = main(argv.split())
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_pset_csv_matches_example(capsys):

@@ -364,13 +364,13 @@ def test_exceptional_scan_saturates_once_per_class_plus_the_sample(monkeypatch):
 
     purefield._class_index.cache_clear()
     calls = []
-    saturate = purefield._pure_saturation
+    saturate = purefield.p_saturate
 
-    def counting(n, p, m):
-        calls.append(m)
-        return saturate(n, p, m)
+    def counting(order, p):
+        calls.append(order.poly)
+        return saturate(order, p)
 
-    monkeypatch.setattr(purefield, "_pure_saturation", counting)
+    monkeypatch.setattr(purefield, "p_saturate", counting)
     exceptional_scan(13, 300, [50, 100, 300])
     classes = 13**2 - 1  # residues mod 13^2 that hold a squarefree radicand
     assert purefield._class_index.cache_info().currsize == classes

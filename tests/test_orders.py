@@ -31,7 +31,12 @@ from eosieve.orders import (
     poly_disc_resultant,
 )
 from eosieve.purefield import pure_poly, pure_power_disc
-from oracles import charpoly_is_integral, p_saturate_enumeration, ring_generated
+from oracles import (
+    charpoly_is_integral,
+    equation_order_index_sequential,
+    p_saturate_enumeration,
+    ring_generated,
+)
 
 X4_13 = pure_poly(4, 13)
 MAX13_ROWS = ((2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1))
@@ -545,6 +550,52 @@ def test_maximal_verdicts_are_confirmed_a_bounded_number_of_times(monkeypatch):
         power = EquationOrder.power_order(pure_poly(5, m))
         assert p_saturate(power, m) == power
     assert len(rounds) == orders._DEDEKIND_CONFIRMATIONS
+
+
+# f = x^n + t h(x) = F(x^p), with p dividing f(0) = t h(0) only when p | t
+_TOWERED = [
+    ((1, 0, 1, 0), 2, range(-40, 41)),
+    ((3, 0, 1, 0, 1, 0, 2, 0), 2, range(-15, 16)),
+    ((1, 0, 0, 2, 0, 0, 1, 0, 0), 3, range(-20, 21)),
+]
+
+
+@pytest.mark.parametrize("h, p, ts", _TOWERED, ids=["x^4", "x^8", "x^9"])
+def test_tower_matches_plain_saturation_on_polynomials_that_are_not_pure(h, p, ts, monkeypatch):
+    # no plain confirmation inside the call: this test makes every one
+    monkeypatch.setattr(orders, "_TOWER_CONFIRMATIONS", 0)
+    towered = 0
+    for t in ts:
+        poly = MonicPolynomial(tuple(t * c for c in h))
+        if t == 0 or poly_disc_resultant(poly) == 0:
+            continue
+        power = EquationOrder.power_order(poly)
+        tower = orders._tower_saturation(power, p)
+        assert (tower is None) == (t % p == 0), t
+        plain = orders._plain_saturation(power, p)
+        assert p_saturate(power, p) == plain, t
+        towered += tower is not None and plain != power
+    assert towered >= 5
+
+
+def _sum_cases():
+    from eosieve.families import trinomial_poly
+
+    polys = [trinomial_poly(n, t) for n in (4, 5, 6) for t in range(-60, 61) if t]
+    for h in [(3, -2, 1, 0), (2, 1, 0, 1)] + [h for h, _, _ in _TOWERED]:
+        polys += [MonicPolynomial(tuple(t * c for c in h)) for t in range(-30, 31) if t]
+    return [poly for poly in polys if poly_disc_resultant(poly)]
+
+
+def test_equation_order_index_equals_the_sequential_saturation():
+    summed = 0
+    for poly in _sum_cases():
+        primes = _square_disc_primes(poly)
+        g, order = equation_order_index(poly, primes)
+        assert (g, order) == equation_order_index_sequential(poly, primes), poly
+        power = EquationOrder.power_order(poly)
+        summed += sum(p_saturate(power, p) != power for p in primes) >= 2
+    assert summed >= 40
 
 
 def _solve_oracle(rows, rhs):

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import eosieve.purefield as purefield
+from eosieve import orders
 from eosieve.arith import is_squarefree, prime_divisors, vp
 from eosieve.errors import ConsistencyError
-from eosieve.orders import equation_order_index, poly_disc_resultant
+from eosieve.orders import EquationOrder, equation_order_index, p_saturate, poly_disc_resultant
 from eosieve.purefield import (
     PureFieldInvariants,
     PureFieldParams,
@@ -188,22 +189,24 @@ def test_closed_form_matches_saturation_at_every_residue(n):
 @pytest.mark.parametrize("n", [4, 8, 9, 12, 16])
 def test_tower_saturation_matches_plain_saturation_at_every_class(n, monkeypatch):
     # no plain confirmation inside the call: this test makes every one
-    monkeypatch.setattr(purefield, "_TOWER_CONFIRMATIONS", 0)
+    monkeypatch.setattr(orders, "_TOWER_CONFIRMATIONS", 0)
     for p in prime_divisors(n):
         modulus = p ** (vp(n, p) + 1)
         for r in range(modulus):
             if r % (p * p) == 0:
                 continue
             for m in _least_members(r, modulus):
-                plain = equation_order_index(pure_poly(n, m), [p])[1]
-                assert purefield._pure_saturation(n, p, m) == plain, (n, p, m)
+                power = EquationOrder.power_order(pure_poly(n, m))
+                plain = orders._plain_saturation(power, p)
+                assert p_saturate(power, p) == plain, (n, p, m)
 
 
 @pytest.mark.parametrize("n, p, m", [(8, 2, 17), (9, 3, 10), (16, 2, 33)])
 @pytest.mark.parametrize("mutation", ["drop", "double"])
 def test_tower_start_that_is_not_the_lift_raises(n, p, m, mutation, monkeypatch):
-    monkeypatch.setattr(purefield, "_TOWER_CONFIRMATIONS", 0)
-    lift = purefield._tower_rows
+    monkeypatch.setattr(orders, "_TOWER_CONFIRMATIONS", 0)
+    lift = orders._tower_rows
+    power = EquationOrder.power_order(pure_poly(n, m))
     for row in range(n):
 
         def mutated(sub, q):
@@ -215,23 +218,34 @@ def test_tower_start_that_is_not_the_lift_raises(n, p, m, mutation, monkeypatch)
                     rows[row] = [2 * x for x in rows[row]]
             return rows
 
-        monkeypatch.setattr(purefield, "_tower_rows", mutated)
+        monkeypatch.setattr(orders, "_tower_rows", mutated)
         # the start's own checks: full rank (_hnf), 1 in the lattice (from_basis)
         # and closure under multiplication (the table build)
         with pytest.raises(ValueError):
-            purefield._pure_saturation(n, p, m)
+            p_saturate(power, p)
 
 
+# plain saturations of power orders that have a tower, made outside that
+# tower: the confirmations, at whatever degree they run
 _CONFIRMATION_PROBE = """
 import sys
 from collections import Counter
-import eosieve.cli, eosieve.purefield as purefield
-plain = Counter()
-saturate = purefield.equation_order_index
-def counting(poly, primes):
-    plain[poly.degree] += 1
-    return saturate(poly, primes)
-purefield.equation_order_index = counting
+import eosieve.cli, eosieve.orders as orders
+plain, active = Counter(), []
+tower, saturate = orders._tower_saturation, orders._plain_saturation
+def towering(power, p):
+    active.append(power.poly)
+    try:
+        return tower(power, p)
+    finally:
+        active.pop()
+def counting(power, p):
+    c, n = power.poly.coeffs, power.degree
+    shaped = n % (p * p) == 0 and c[0] % p and not any(c[i] for i in range(n) if i % p)
+    if shaped and power.poly not in active:
+        plain[n] += 1
+    return saturate(power, p)
+orders._tower_saturation, orders._plain_saturation = towering, counting
 eosieve.cli.main(sys.argv[1:])
 print(dict(plain), file=sys.stderr)
 """
