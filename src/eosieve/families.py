@@ -38,7 +38,7 @@ from .orders import (
     index_form_value,
     poly_disc_resultant,
 )
-from .purefield import _index_pattern, alpha_monogenic, pure_poly
+from .purefield import _criterion_holds, _index_pattern, alpha_monogenic, pure_poly
 
 __all__ = [
     "EulerProductBracket",
@@ -299,7 +299,7 @@ def thin_Pn_member(n: int, c: int, q: int) -> bool:
         raise ValueError("requires n >= 4 and c >= 2")
     if q < 2 or (c * n) % q == 0:
         return False
-    return all(pow(q, p - 1, p * p) != 1 for p in prime_divisors(n)) and is_probable_prime(q)
+    return all(_criterion_holds(q, p) for p in prime_divisors(n)) and is_probable_prime(q)
 
 
 def thin_family_check(n: int, c: int, q: int) -> ThinFamilyReport:

@@ -24,12 +24,13 @@ Rounds from any order between Z[θ] and the p-saturation reach the same
 p-saturation, and p_saturate owns where they start for a power order: when
 f(x) = F(x^p), p^2 | deg f and p does not divide f(0), from the lifted
 p-saturation of F's power order, so few rounds run at deg f; otherwise
-after Dedekind's criterion over GF(p), and none when it says p-maximal.
-Three guards raise ConsistencyError: a "not p-maximal" verdict must be
-followed by a first round that enlarges the order, and the first verdicts
-"p-maximal" (_DEDEKIND_CONFIRMATIONS per degree and process) and tower
-saturations (_TOWER_CONFIRMATIONS per degree up to 32) are confirmed by a
-full round and by the plain path.  equation_order_index sums p-saturations.
+from the overorder that Dedekind's criterion builds over GF(p), which is
+the first round's, and none when that is Z[θ].  A start that is not an
+order raises ConsistencyError, and so do two confirmations: the first
+Dedekind starts (_DEDEKIND_CONFIRMATIONS per degree and verdict) must equal
+a full round, and the first tower saturations (_TOWER_CONFIRMATIONS per
+degree up to 32) the saturation from Dedekind's start, in each process.
+equation_order_index sums p-saturations.
 """
 
 from __future__ import annotations
@@ -633,34 +634,47 @@ def _gf_radical(f: list, p: int) -> list:
     return _gf_divmod(_poly_mul(w, r), _gf_gcd(w, r, p), p)[0]
 
 
-def _dedekind_p_maximal(poly: MonicPolynomial, p: int) -> bool:
-    """Dedekind's criterion: whether Z[x]/(f) is p-maximal.
+# Confirmations in each process: Dedekind starts per degree and verdict by a
+# full round, and tower saturations per degree up to 32 by the start from
+# Dedekind's order (about 3 s for x^64 - 5 and 14 s for x^81 - 10)
+_DEDEKIND_CONFIRMATIONS = 8
+_TOWER_CONFIRMATIONS = 2
+_TOWER_CONFIRMATION_DEGREE = 32
+_confirmed: Counter[tuple] = Counter()
 
-    With f = prod phi_i^e_i mod p, g = rad(f mod p), h = (f mod p)/g and G, H
-    their lifts with coefficients in [0, p), Z[x]/(f) is p-maximal exactly
-    when gcd((f - G H)/p, g, h) = 1 over GF(p) (Cohen, A Course in
-    Computational Algebraic Number Theory, Thm 6.1.4).
+
+def _dedekind_start(power: EquationOrder, p: int) -> EquationOrder:
+    """The first enlargement of the power order at p, by Dedekind's criterion.
+
+    With f = prod phi_i^e_i mod p, g = rad(f mod p), h = (f mod p)/g, G, H
+    their lifts with coefficients in [0, p) and t = gcd((f - G H)/p, g, h)
+    over GF(p), the multiplier ring of the p-radical is Z[theta] +
+    U(theta)/p Z[theta] for the lift U of (f mod p)/t, of index p^deg t, and
+    Z[theta] itself is p-maximal exactly when t = 1 (Cohen, A Course in
+    Computational Algebraic Number Theory, Thm 6.1.4).  theta^i U(theta),
+    i < deg t, has degree below n, so the rows p e_j and those span it.
+
+    The first _DEDEKIND_CONFIRMATIONS starts per degree and verdict in each
+    process must equal a saturation round, or ConsistencyError is raised.
     """
-    f = list(poly.coeffs) + [1]
+    f = list(power.poly.coeffs) + [1]
     fbar = [c % p for c in f]
     g = _gf_radical(fbar, p)
     h = _gf_divmod(fbar, g, p)[0]
-    d = _gf_gcd(g, h, p)
-    if len(d) == 1:
-        return True
     big_f = _gf_trim([(a - b) // p % p for a, b in zip(f, _poly_mul(g, h))])
-    return len(_gf_gcd(d, big_f, p)) == 1
-
-
-# Dedekind verdicts "p-maximal" that a full saturation round confirms, per
-# degree, in each process
-_DEDEKIND_CONFIRMATIONS = 8
-_confirmed_maximal: Counter[int] = Counter()
-# Tower saturations that the plain path confirms, per requested degree, in each
-# process; the plain path takes about 3 s for x^64 - 5 and 14 s for x^81 - 10
-_TOWER_CONFIRMATIONS = 2
-_TOWER_CONFIRMATION_DEGREE = 32
-_confirmed_tower: Counter[int] = Counter()
+    t = _gf_gcd(_gf_gcd(g, h, p), big_f, p)
+    n, k = power.degree, len(t) - 1
+    start = power
+    if k:
+        u = _gf_divmod(fbar, t, p)[0]
+        rows = [[p if i == j else 0 for j in range(n)] for i in range(n)]
+        rows += [[0] * i + u + [0] * (k - 1 - i) for i in range(k)]
+        start = EquationOrder.from_basis(power.poly, rows, p)
+    if _confirmed[n, k > 0] < _DEDEKIND_CONFIRMATIONS:
+        if _saturation_round(power, p) != start:
+            raise ConsistencyError(f"Dedekind's {p}-start of Z[x]/({power.poly}) is not a round")
+        _confirmed[n, k > 0] += 1
+    return start
 
 
 def _rounds(order: EquationOrder, p: int) -> EquationOrder:
@@ -672,28 +686,10 @@ def _rounds(order: EquationOrder, p: int) -> EquationOrder:
         order = bigger
 
 
-def _plain_saturation(power: EquationOrder, p: int) -> EquationOrder:
-    """The p-saturation of a power order: Dedekind's screen, then rounds.
-
-    A "p-maximal" verdict returns the order as it is, after a confirming
-    round for the first _DEDEKIND_CONFIRMATIONS per degree; after a "not
-    p-maximal" one the first round must enlarge the order.
-    """
-    n = power.degree
-    maximal = _dedekind_p_maximal(power.poly, p)
-    if maximal and _confirmed_maximal[n] >= _DEDEKIND_CONFIRMATIONS:
-        return power
-    bigger = _saturation_round(power, p)
-    if (bigger == power) != maximal:
-        raise ConsistencyError(
-            f"Dedekind's criterion says Z[x]/({power.poly}) is "
-            f"{'' if maximal else 'not '}{p}-maximal, but a saturation round "
-            f"{'enlarges' if maximal else 'does not enlarge'} it"
-        )
-    if maximal:
-        _confirmed_maximal[n] += 1
-        return power
-    return _rounds(bigger, p)
+def _saturation(power: EquationOrder, start: EquationOrder, p: int) -> EquationOrder:
+    """The rounds from a start of the power order's; Z[theta] is a start only
+    when Dedekind's criterion proves it p-maximal, and is returned as it is."""
+    return power if start == power else _rounds(start, p)
 
 
 def _tower_rows(sub: EquationOrder, p: int) -> list[list[int]]:
@@ -710,25 +706,23 @@ def _tower_rows(sub: EquationOrder, p: int) -> list[list[int]]:
     return rows
 
 
-def _tower_saturation(power: EquationOrder, p: int) -> EquationOrder | None:
-    """The p-saturation of the power order from its tower, or None if f has none.
+def _tower_start(power: EquationOrder, p: int) -> EquationOrder | None:
+    """O_L[theta] for the p-saturation O_L of F's power order, when f(x) =
+    F(x^p), p^2 | deg f and p does not divide f(0); None otherwise, and when
+    O_L is F's power order.
 
-    f has one when f(x) = F(x^p), p^2 | deg f and p does not divide f(0).
-    The p-saturation O_L of F's power order (by this rule again, else the
-    plain path), in powers of phi = theta^p, is lifted to O_L[theta]
-    (_tower_rows), a ring between Z[theta] and its p-saturation, and the
-    rounds run from there.  A lattice that is not a ring fails its table
-    build (NotClosedError), and the final stable round proves p-maximality.
+    O_L is saturated by the same start rule, recursively, in powers of phi =
+    theta^p, and lifted by _tower_rows: a ring between Z[theta] and its
+    p-saturation, so few rounds run at deg f.
     """
     n, coeffs = power.degree, power.poly.coeffs
     if n % (p * p) or coeffs[0] % p == 0 or any(c for i, c in enumerate(coeffs) if i % p):
         return None
     inner = EquationOrder.power_order(MonicPolynomial(coeffs[::p]))
-    sub = _tower_saturation(inner, p) or _plain_saturation(inner, p)
-    if sub == inner:  # the lift is Z[theta], which p_saturate would send back here
-        return _plain_saturation(power, p)
-    start = EquationOrder.from_basis(power.poly, _tower_rows(sub, p), sub.denominator)
-    return _rounds(start, p)
+    sub = _saturation(inner, _tower_start(inner, p) or _dedekind_start(inner, p), p)
+    if sub == inner:
+        return None
+    return EquationOrder.from_basis(power.poly, _tower_rows(sub, p), sub.denominator)
 
 
 def p_saturate(order: EquationOrder, p: int) -> EquationOrder:
@@ -739,25 +733,30 @@ def p_saturate(order: EquationOrder, p: int) -> EquationOrder:
     still admits integral elements of denominator p and fixes exactly the
     p-maximal ones, so the loop terminates at the p-saturation.
 
-    A power order starts from its tower when it has one (_tower_saturation)
-    and takes the plain path (_plain_saturation) otherwise.  The first
-    _TOWER_CONFIRMATIONS tower saturations per degree up to
-    _TOWER_CONFIRMATION_DEGREE must equal the plain path, or
-    ConsistencyError is raised; a p that is not prime raises ValueError.
+    A power order starts from its tower when it has one (_tower_start) and
+    from Dedekind's order otherwise (_dedekind_start), and the rounds run
+    from there unless that is Z[theta].  The first _TOWER_CONFIRMATIONS
+    tower starts per degree up to _TOWER_CONFIRMATION_DEGREE must reach the
+    saturation from Dedekind's start.  A start that is not an order (its
+    rank, 1 in the lattice, or its table build) and a failed confirmation
+    raise ConsistencyError; a p that is not prime raises ValueError.
     """
     if not is_probable_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     if not order.is_power_order():
         return _rounds(order, p)
-    tower = _tower_saturation(order, p)
-    if tower is None:
-        return _plain_saturation(order, p)
     n = order.degree
-    if n <= _TOWER_CONFIRMATION_DEGREE and _confirmed_tower[n] < _TOWER_CONFIRMATIONS:
-        if _plain_saturation(order, p) != tower:
-            raise ConsistencyError(f"tower and plain {p}-saturations of Z[x]/({order.poly}) differ")
-        _confirmed_tower[n] += 1
-    return tower
+    try:
+        tower = _tower_start(order, p)
+        saturation = _saturation(order, tower or _dedekind_start(order, p), p)
+        confirm = tower and n <= _TOWER_CONFIRMATION_DEGREE
+        if confirm and _confirmed[n, "tower"] < _TOWER_CONFIRMATIONS:
+            if _saturation(order, _dedekind_start(order, p), p) != saturation:
+                raise ConsistencyError(f"tower and Dedekind {p}-saturations differ: {order.poly}")
+            _confirmed[n, "tower"] += 1
+    except ValueError as err:
+        raise ConsistencyError(f"{p}-saturation of Z[x]/({order.poly}) failed: {err}") from err
+    return saturation
 
 
 def equation_order_index(poly: MonicPolynomial, candidate_primes) -> tuple[int, EquationOrder]:

@@ -179,7 +179,7 @@ def pure_index(n: int, m: int) -> PureFieldInvariants:
     return PureFieldInvariants(
         params=PureFieldParams(n, m),
         irreducible=True,
-        alpha_monogenic=alpha_monogenic(n, m),
+        alpha_monogenic=all(_criterion_holds(m, p) for p in prime_divisors(n)),
         g=math.prod(_class_index(n, p, m % p ** (vp(n, p) + 1)) for p in prime_divisors(n)),
         power_disc=pure_power_disc(n, m),
     )

@@ -119,6 +119,11 @@ GOLDEN = [
     # 1.0 s and 1.2 s: f = F(x^2) with p = 2 not dividing f(0) at odd t
     ("family scaled --n 8 --coeffs 1,0,0,0,1,0,0,0 --t-min -300 --t-max 300", "90350c440ee0a0a26458c3da5330551813b0e5f440ff73919be302102dd84320"),
     ("family scaled --n 16 --coeffs 1,0,1,0,0,0,0,0,1,0,0,0,0,0,0,0 --t-min 2 --t-max 40", "65ccc6387dbbd3c37ecf4d6e4634842c2aceb1f525da59de0f026c17fbdd03a6"),
+    # captured while Dedekind's criterion returned a verdict and a full round
+    # built the first enlargement: a squarefree composite degree, and 3^3,
+    # where x^27 - m at 3 starts from the tower of x^9 - m
+    ("experiment exceptional --n 30 --x-max 1000", "643f3b2e505ad3b4623912e4742d576d71dda790188059cc219e15af513836fc"),
+    ("experiment exceptional --n 27 --x-max 1000", "ea2de2445a52c606511002a3afc4bc6cab235b470b3c51c20acaa51628cbda7f"),
 ]
 _VERSION_FIELD = re.compile(r'"version": "[^"]*"')
 
@@ -151,7 +156,7 @@ def test_invariants_saturates_once_per_class(capsys, monkeypatch):
 
     _, plain = _run(capsys, ["invariants", "4", "13"])
     purefield._class_index.cache_clear()
-    monkeypatch.setattr(orders, "_confirmed_tower", Counter())
+    monkeypatch.setattr(orders, "_confirmed", Counter())
     saturated = []
     p_saturate = purefield.p_saturate
 
@@ -165,8 +170,8 @@ def test_invariants_saturates_once_per_class(capsys, monkeypatch):
     # 13 = 5 mod 8, and the least squarefree member of that class is -3
     assert saturated == [(pure_poly(4, -3), 2)]
     # x^4 + 3 starts from its tower, the first at degree 4 in this (fresh)
-    # count, so the plain path confirms it
-    assert orders._confirmed_tower == {4: 1}
+    # count, so the start from Dedekind's order confirms it
+    assert orders._confirmed[4, "tower"] == 1
     saturated.clear()
     rc, out = _run(capsys, ["invariants", "4", "13"])
     assert rc == 0 and out == plain

@@ -171,7 +171,7 @@ def test_thin_membership():
             assert thin_Pn_member(4, 2, q) == (q % 4 == 3), q
 
 
-@pytest.mark.parametrize("n, c", [(4, 2), (6, 5)])
+@pytest.mark.parametrize("n, c", [(4, 2), (6, 5), (9, 2), (12, 7)])
 def test_thin_membership_is_false_off_the_primes(n, c):
     assert not thin_Pn_member(n, c, 0) and not thin_Pn_member(n, c, 1)
     assert not thin_Pn_member(n, c, -7)

@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from eosieve.errors import ConsistencyError, ContainmentError, NotClosedError
 from eosieve.orders import (
     EquationOrder,
     MonicPolynomial,
-    _dedekind_p_maximal,
+    _dedekind_start,
     _frobenius_matrix,
     _gf_kernel,
     _gf_nullspace,
@@ -30,7 +31,7 @@ from eosieve.orders import (
     p_saturate,
     poly_disc_resultant,
 )
-from eosieve.purefield import pure_poly, pure_power_disc
+from eosieve.purefield import binomial_irreducible, pure_poly, pure_power_disc
 from oracles import (
     charpoly_is_integral,
     equation_order_index_sequential,
@@ -418,9 +419,15 @@ def test_from_basis_takes_the_hermite_form_itself(case):
     )
 
 
-def _round_says_maximal(poly: MonicPolynomial, p: int) -> bool:
+def _start_is_the_first_round(poly: MonicPolynomial, p: int) -> bool:
+    """Dedekind's start with the confirmations used up, so that the overorder
+    it builds is what is compared with a saturation round; True when it
+    enlarges the power order."""
     power = EquationOrder.power_order(poly)
-    return _saturation_round(power, p) == power
+    with mock.patch.object(orders, "_DEDEKIND_CONFIRMATIONS", 0):
+        start = _dedekind_start(power, p)
+    assert start == _saturation_round(power, p), (poly, p)
+    return start != power
 
 
 @st.composite
@@ -441,13 +448,12 @@ def _monic_at_prime(draw):
 @given(_monic_at_prime())
 @settings(max_examples=300, deadline=None)
 def test_dedekind_verdict_matches_a_saturation_round(case):
-    poly, p = case
-    assert _dedekind_p_maximal(poly, p) == _round_says_maximal(poly, p)
+    _start_is_the_first_round(*case)
 
 
 def test_dedekind_verdict_matches_enumeration_below_2_16():
     rng = random.Random(9)
-    verdicts = []
+    enlarged = []
     # (p, n) with p^n <= 2^16 whose candidates the oracle scans in about a second
     grid = [(2, range(2, 7)), (3, range(2, 6)), (5, (2, 3)), (7, (2, 3)), (11, (2,)), (13, (2,))]
     for p, degrees in grid:
@@ -460,20 +466,17 @@ def test_dedekind_verdict_matches_enumeration_below_2_16():
                     continue
                 power = EquationOrder.power_order(poly)
                 oracle = p_saturate_enumeration(power, p, enumeration_limit=2**16)
-                verdicts.append(_dedekind_p_maximal(poly, p))
-                assert verdicts[-1] == (oracle == power), (coeffs, p)
+                enlarged.append(_start_is_the_first_round(poly, p))
+                assert enlarged[-1] == (oracle != power), (coeffs, p)
                 assert p_saturate(power, p) == oracle, (coeffs, p)
-    assert len(verdicts) >= 30 and 5 <= verdicts.count(False) <= len(verdicts) - 5
+    assert len(enlarged) >= 30 and 5 <= enlarged.count(True) <= len(enlarged) - 5
 
 
 def test_dedekind_on_a_p_th_power_residue():
     # x^4 - m = (x - m)^4 mod 2: f' vanishes mod 2, so the radical is a 4th root
     for m in range(16, 32):
-        poly = pure_poly(4, m)
-        verdict = _dedekind_p_maximal(poly, 2)
-        assert verdict == _round_says_maximal(poly, 2), m
         # 2-maximal when m = 2 mod 4 (Eisenstein) or m = 3 mod 4 (m^2 != m mod 4)
-        assert verdict == (m % 4 in (2, 3)), m
+        assert _start_is_the_first_round(pure_poly(4, m), 2) == (m % 4 in (0, 1)), m
 
 
 def test_dedekind_with_repeated_factors_of_unequal_multiplicity():
@@ -490,11 +493,9 @@ def test_dedekind_with_repeated_factors_of_unequal_multiplicity():
             base = _poly_mul(base, phi)
         for _ in range(25):
             c = [rng.randrange(-p * p, p * p) for _ in range(len(base) - 1)]
-            coeffs = tuple(b + p * ci for b, ci in zip(base, c))
-            poly = MonicPolynomial(coeffs)
-            if poly_disc_resultant(poly) == 0:
-                continue
-            assert _dedekind_p_maximal(poly, p) == _round_says_maximal(poly, p), (coeffs, p)
+            poly = MonicPolynomial(tuple(b + p * ci for b, ci in zip(base, c)))
+            if poly_disc_resultant(poly) != 0:
+                _start_is_the_first_round(poly, p)
 
 
 def test_dedekind_accepts_eisenstein_polynomials():
@@ -504,28 +505,50 @@ def test_dedekind_accepts_eisenstein_polynomials():
             coeffs = [p * rng.randrange(-5, 6) for _ in range(n)]
             coeffs[0] = p * rng.choice([c for c in range(-5, 6) if c % p])
             poly = MonicPolynomial(tuple(coeffs))
-            assert _dedekind_p_maximal(poly, p), (coeffs, p)
+            assert not _start_is_the_first_round(poly, p), (coeffs, p)
             assert p_saturate(EquationOrder.power_order(poly), p).is_power_order()
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_dedekind_on_degree_twelve_pure_polynomials(p):
     for m in (2, 3, 5, 6, 7, 10, 13, 17, 19, 26, 35, -5, -7):
-        poly = pure_poly(12, m)
-        assert _dedekind_p_maximal(poly, p) == _round_says_maximal(poly, p), (m, p)
+        _start_is_the_first_round(pure_poly(12, m), p)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_dedekind_start_at_every_residue_class(n):
+    # x^n - m for the m = r mod p^(v_p(n)+1) of least |m| >= 2 of each sign
+    # with x^n - m irreducible, at every r and every p | n
+    from eosieve.arith import prime_divisors, vp
+
+    for p in prime_divisors(n):
+        modulus = p ** (vp(n, p) + 1)
+        for r in range(modulus):
+            for sign in (1, -1):
+                m = 2 * sign
+                while (m - r) % modulus or not binomial_irreducible(n, m):
+                    m += sign
+                _start_is_the_first_round(pure_poly(n, m), p)
 
 
 def test_wrong_maximal_verdict_is_caught(monkeypatch):
-    monkeypatch.setattr(orders, "_dedekind_p_maximal", lambda poly, p: True)
-    monkeypatch.setattr(orders, "_confirmed_maximal", Counter())
+    # g = f mod p and h = 1 make t = 1: the start is Z[theta], but
+    # Z[x]/(x^4 - 13) and Z[x]/(x^2 - 13) are not 2-maximal
+    monkeypatch.setattr(orders, "_gf_radical", lambda f, p: f)
+    monkeypatch.setattr(orders, "_confirmed", Counter())
     with pytest.raises(ConsistencyError):
-        p_saturate(EquationOrder.power_order(X4_13), 2)  # Z[x]/(x^4 - 13) is not 2-maximal
+        p_saturate(EquationOrder.power_order(X4_13), 2)
 
 
 def test_wrong_not_maximal_verdict_is_caught(monkeypatch):
-    monkeypatch.setattr(orders, "_dedekind_p_maximal", lambda poly, p: False)
+    # Z + Z theta/13 + 13 Z[theta] does not hold (theta/13)^2
+    rows = [[13 if i == j else 0 for j in range(4)] for i in range(4)]
+    rows[1][1] = 1
+    start = EquationOrder.from_basis(X4_13, rows, 13)
+    monkeypatch.setattr(orders, "_DEDEKIND_CONFIRMATIONS", 0)
+    monkeypatch.setattr(orders, "_dedekind_start", lambda power, p: start)
     with pytest.raises(ConsistencyError):
-        p_saturate(EquationOrder.power_order(X4_13), 13)  # Eisenstein at 13
+        p_saturate(EquationOrder.power_order(X4_13), 13)
 
 
 def test_radical_that_is_not_an_ideal_is_caught(monkeypatch):
@@ -537,45 +560,78 @@ def test_radical_that_is_not_an_ideal_is_caught(monkeypatch):
 
 
 def test_maximal_verdicts_are_confirmed_a_bounded_number_of_times(monkeypatch):
-    rounds = []
+    # rounds on a power order run only to confirm a Dedekind start
+    rounds = Counter()
     real_round = orders._saturation_round
 
     def counting(order, p):
-        rounds.append(p)
-        return real_round(order, p)
+        bigger = real_round(order, p)
+        if order.is_power_order():
+            rounds[order.degree, bigger != order] += 1
+        return bigger
 
     monkeypatch.setattr(orders, "_saturation_round", counting)
-    monkeypatch.setattr(orders, "_confirmed_maximal", Counter())
-    for m in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        power = EquationOrder.power_order(pure_poly(5, m))
-        assert p_saturate(power, m) == power
-    assert len(rounds) == orders._DEDEKIND_CONFIRMATIONS
+    monkeypatch.setattr(orders, "_confirmed", Counter())
+    for n in (3, 5):
+        for m in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+            power = EquationOrder.power_order(pure_poly(n, m))
+            assert p_saturate(power, m) == power  # Eisenstein at m
+        # x^n - m is not n-maximal when m^(n-1) = 1 mod n^2
+        members = [m for m in range(2, 400) if pow(m, n - 1, n * n) == 1]
+        for m in [m for m in members if binomial_irreducible(n, m)][:12]:
+            power = EquationOrder.power_order(pure_poly(n, m))
+            assert p_saturate(power, n) != power
+    verdicts = itertools.product((3, 5), (False, True))
+    assert rounds == {key: orders._DEDEKIND_CONFIRMATIONS for key in verdicts}
 
 
-# f = x^n + t h(x) = F(x^p), with p dividing f(0) = t h(0) only when p | t
+# f = x^n + t h(x) = F(x^p), with p dividing f(0) = t h(0) only when p | t;
+# F is p-maximal for some t prime to p and not for others
 _TOWERED = [
-    ((1, 0, 1, 0), 2, range(-40, 41)),
-    ((3, 0, 1, 0, 1, 0, 2, 0), 2, range(-15, 16)),
-    ((1, 0, 0, 2, 0, 0, 1, 0, 0), 3, range(-20, 21)),
+    ((1, 0, 2, 0), 2, range(-40, 41)),
+    ((1, 0, 1, 0, 0, 0, 3, 0), 2, range(-15, 16)),
+    ((2, 0, 0, 3, 0, 0, 3, 0, 0), 3, range(-20, 21)),
 ]
 
 
 @pytest.mark.parametrize("h, p, ts", _TOWERED, ids=["x^4", "x^8", "x^9"])
 def test_tower_matches_plain_saturation_on_polynomials_that_are_not_pure(h, p, ts, monkeypatch):
-    # no plain confirmation inside the call: this test makes every one
+    # no confirmation inside the call: this test makes every one
     monkeypatch.setattr(orders, "_TOWER_CONFIRMATIONS", 0)
-    towered = 0
+    lifted = unlifted = 0
     for t in ts:
         poly = MonicPolynomial(tuple(t * c for c in h))
         if t == 0 or poly_disc_resultant(poly) == 0:
             continue
         power = EquationOrder.power_order(poly)
-        tower = orders._tower_saturation(power, p)
-        assert (tower is None) == (t % p == 0), t
-        plain = orders._plain_saturation(power, p)
+        inner = EquationOrder.power_order(MonicPolynomial(poly.coeffs[::p]))
+        tower = orders._tower_start(power, p)
+        assert (tower is None) == (t % p == 0 or p_saturate(inner, p) == inner), t
+        plain = orders._saturation(power, orders._dedekind_start(power, p), p)
         assert p_saturate(power, p) == plain, t
-        towered += tower is not None and plain != power
-    assert towered >= 5
+        lifted += tower is not None
+        unlifted += tower is None and t % p != 0
+    assert lifted >= 5 and unlifted >= 5
+
+
+def test_tower_confirmations_are_spent_only_on_lifted_towers(monkeypatch):
+    # x^2 - 3 and x^2 - 7 are 2-maximal, so x^4 - 3 and x^4 - 7 have no lift
+    # and take Dedekind's start once; x^2 - 5 is not, and x^4 - 5's tower
+    # gets the first confirmation at degree 4
+    starts = Counter()
+    real_start = orders._dedekind_start
+
+    def counting(power, p):
+        if power.degree == 4:
+            starts[power.poly] += 1
+        return real_start(power, p)
+
+    monkeypatch.setattr(orders, "_dedekind_start", counting)
+    monkeypatch.setattr(orders, "_confirmed", Counter())
+    for m in (3, 7, 5):
+        p_saturate(EquationOrder.power_order(pure_poly(4, m)), 2)
+    assert starts == {pure_poly(4, m): 1 for m in (3, 7, 5)}
+    assert orders._confirmed[4, "tower"] == 1
 
 
 def _sum_cases():

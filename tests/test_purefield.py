@@ -188,7 +188,7 @@ def test_closed_form_matches_saturation_at_every_residue(n):
 
 @pytest.mark.parametrize("n", [4, 8, 9, 12, 16])
 def test_tower_saturation_matches_plain_saturation_at_every_class(n, monkeypatch):
-    # no plain confirmation inside the call: this test makes every one
+    # no confirmation inside the call: this test makes every one
     monkeypatch.setattr(orders, "_TOWER_CONFIRMATIONS", 0)
     for p in prime_divisors(n):
         modulus = p ** (vp(n, p) + 1)
@@ -197,7 +197,7 @@ def test_tower_saturation_matches_plain_saturation_at_every_class(n, monkeypatch
                 continue
             for m in _least_members(r, modulus):
                 power = EquationOrder.power_order(pure_poly(n, m))
-                plain = orders._plain_saturation(power, p)
+                plain = orders._saturation(power, orders._dedekind_start(power, p), p)
                 assert p_saturate(power, p) == plain, (n, p, m)
 
 
@@ -221,31 +221,28 @@ def test_tower_start_that_is_not_the_lift_raises(n, p, m, mutation, monkeypatch)
         monkeypatch.setattr(orders, "_tower_rows", mutated)
         # the start's own checks: full rank (_hnf), 1 in the lattice (from_basis)
         # and closure under multiplication (the table build)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConsistencyError):
             p_saturate(power, p)
 
 
-# plain saturations of power orders that have a tower, made outside that
-# tower: the confirmations, at whatever degree they run
+# Dedekind starts of power orders whose tower start was a lift: the
+# confirmations, at whatever degree they run
 _CONFIRMATION_PROBE = """
 import sys
 from collections import Counter
 import eosieve.cli, eosieve.orders as orders
-plain, active = Counter(), []
-tower, saturate = orders._tower_saturation, orders._plain_saturation
+plain, lifted = Counter(), set()
+tower, dedekind = orders._tower_start, orders._dedekind_start
 def towering(power, p):
-    active.append(power.poly)
-    try:
-        return tower(power, p)
-    finally:
-        active.pop()
+    start = tower(power, p)
+    if start is not None:
+        lifted.add((power.poly, p))
+    return start
 def counting(power, p):
-    c, n = power.poly.coeffs, power.degree
-    shaped = n % (p * p) == 0 and c[0] % p and not any(c[i] for i in range(n) if i % p)
-    if shaped and power.poly not in active:
-        plain[n] += 1
-    return saturate(power, p)
-orders._tower_saturation, orders._plain_saturation = towering, counting
+    if (power.poly, p) in lifted:
+        plain[power.degree] += 1
+    return dedekind(power, p)
+orders._tower_start, orders._dedekind_start = towering, counting
 eosieve.cli.main(sys.argv[1:])
 print(dict(plain), file=sys.stderr)
 """
@@ -342,6 +339,17 @@ def test_pure_index_errors_keep_their_order():
         pure_index(4, 16)  # a square, and not squarefree either
     with pytest.raises(ValueError, match="not squarefree"):
         pure_index(4, 12)
+
+
+def test_pure_index_tests_irreducibility_once(monkeypatch):
+    calls = []
+    real = purefield.binomial_irreducible
+    monkeypatch.setattr(purefield, "binomial_irreducible", lambda n, m: calls.append(m) or real(n, m))
+    for n, m in [(4, 13), (4, 2), (5, 7), (12, 35), (16, -31)]:
+        calls.clear()
+        monogenic = pure_index(n, m).alpha_monogenic
+        assert calls == [m], (n, m)
+        assert monogenic == alpha_monogenic(n, m), (n, m)
 
 
 def test_observed_index_values_quartic():
