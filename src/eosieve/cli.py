@@ -54,7 +54,7 @@ from .families import (
     trinomial_monogenic_check,
     twist_index_check,
 )
-from .obstruction import _certificate, _pg_table, estimate_delta, local_coset_check
+from .obstruction import _pg_table, estimate_delta, local_coset_check, obstruction_certificate
 from .purefield import pure_index
 
 ENV_PREFIX = "EOS_"
@@ -117,7 +117,7 @@ def _strictly_decreasing(seq) -> bool:
 def _run_invariants(p):
     n, m = p["n"], p["m"]
     inv = pure_index(n, m)
-    cert = _certificate(n, m, inv.g)
+    cert = obstruction_certificate(n, m)
     fields = {
         "n": n,
         "m": m,

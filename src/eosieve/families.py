@@ -243,10 +243,13 @@ def rho_ell2(n: int, ell: int) -> int:
     return brute
 
 
-def euler_product_S(n: int, cutoff: int, brute_verify_bound: int = 100) -> EulerProductBracket:
+_BRUTE_VERIFY_BOUND = 100
+
+
+def euler_product_S(n: int, cutoff: int) -> EulerProductBracket:
     """Partial Euler product prod(1 - rho(ell^2)/ell^2) with a tail bracket.
 
-    Primes up to `brute_verify_bound` go through the brute-force rho check;
+    Primes up to _BRUTE_VERIFY_BOUND go through the brute-force rho check;
     beyond that the closed form is used directly.  The reported bracket
     bounds the full product: the tail factors lie between exp(-2.1/cutoff)
     and 1 since rho <= 2 for ell beyond n.
@@ -255,7 +258,7 @@ def euler_product_S(n: int, cutoff: int, brute_verify_bound: int = 100) -> Euler
         raise ValueError("cutoff must be at least 10^3")
     log_value = 0.0
     for ell in prime_array(cutoff).tolist():
-        rho = rho_ell2(n, ell) if ell <= brute_verify_bound else _rho_closed_form(n, ell)
+        rho = rho_ell2(n, ell) if ell <= _BRUTE_VERIFY_BOUND else _rho_closed_form(n, ell)
         log_value += math.log1p(-rho / ell**2)
     value = math.exp(log_value)
     lower = value * math.exp(-2.1 / cutoff)

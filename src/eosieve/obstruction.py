@@ -230,7 +230,7 @@ def _pg_capacity(N: int, limit: int) -> int:
     2N >= limit.
     """
     terms = (limit - 1) // (2 * N)
-    if terms == 0:
+    if terms <= 0:
         return 0
     return min(terms, int(2 * limit / (euler_phi(2 * N) * math.log(limit / (2 * N)))) + 1)
 
@@ -313,11 +313,7 @@ def obstruction_certificate(n: int, m: int) -> ObstructionCertificate | None:
     or None when the power order is already maximal or no divisor of m lies
     in P_g.
     """
-    return _certificate(n, m, pure_index(n, m).g)
-
-
-def _certificate(n: int, m: int, g: int) -> ObstructionCertificate | None:
-    """obstruction_certificate for a caller that already holds g = g(m)."""
+    g = pure_index(n, m).g
     N = n * (n - 1) // 2
     # at N = 1 every unit mod q is a first power, so P_g is empty
     if g == 1 or N < 2:

@@ -30,7 +30,9 @@ order raises ConsistencyError, and so do two confirmations: the first
 Dedekind starts (_DEDEKIND_CONFIRMATIONS per degree and verdict) must equal
 a full round, and the first tower saturations (_TOWER_CONFIRMATIONS per
 degree up to 32) the saturation from Dedekind's start, in each process.
-equation_order_index sums p-saturations.
+equation_order_index sums p-saturations and is the one reader of an index
+from them.  A degree whose (n, n, n) tables would exceed _TABLE_BUDGET is
+refused with ValueError before any is built.
 """
 
 from __future__ import annotations
@@ -74,11 +76,6 @@ class MonicPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs)
-
-    def derivative_coeffs(self) -> list[int]:
-        """Ascending coefficients of f', leading coefficient n included."""
-        n = self.degree
-        return [i * self.coeffs[i] for i in range(1, n)] + [n]
 
     def __str__(self) -> str:
         n = self.degree
@@ -180,8 +177,7 @@ def poly_disc_resultant(poly: MonicPolynomial) -> int:
     """Discriminant via (-1)^(n(n-1)/2) Res(f, f'), by exact elimination."""
     n = poly.degree
     f_desc = [1] + [poly.coeffs[i] for i in range(n - 1, -1, -1)]
-    fp = poly.derivative_coeffs()
-    g_desc = [fp[i] for i in range(n - 1, -1, -1)]
+    g_desc = [n] + [i * poly.coeffs[i] for i in range(n - 1, 0, -1)]  # f'
     size = 2 * n - 1
     syl = []
     for shift in range(n - 1):
@@ -335,6 +331,16 @@ class EquationOrder:
         return tuple(Fraction(c, scale) for c in coords)
 
 
+# The largest (n, n, n) array, at 8 bytes an entry (int64 or dtype object's
+# pointer), so n <= 256; a round holds several (533 MB at n = 210)
+_TABLE_BUDGET = 1 << 27
+
+
+def _check_table_budget(n: int) -> None:
+    if 8 * n**3 > _TABLE_BUDGET:
+        raise ValueError(f"degree {n} needs tables above the {_TABLE_BUDGET >> 20} MiB budget")
+
+
 # 16 tables hit as often as 256 on the benchmark, and hold 32 MiB at n = 64
 @lru_cache(maxsize=16)
 def _multiplication_table_cached(order: EquationOrder) -> np.ndarray:
@@ -344,9 +350,11 @@ def _multiplication_table_cached(order: EquationOrder) -> np.ndarray:
     over d, d^2 e_i e_j is (B @ (B @ P))[i, j] in power coordinates, whose
     every entry and partial sum is at most n^2 max|B|^2 max|P|: int64 while
     that is below 2^62, Python integers (dtype object) otherwise.  The
-    coordinates are solved by _back_substitute, under its overflow rule.
+    coordinates are solved by _back_substitute, under its overflow rule.  A
+    degree above _TABLE_BUDGET raises ValueError.
     """
     n = order.degree
+    _check_table_budget(n)
     if order.is_power_order():
         powers = [[1] + [0] * (n - 1)]
         for _ in range(2 * n - 2):
@@ -733,19 +741,18 @@ def p_saturate(order: EquationOrder, p: int) -> EquationOrder:
     still admits integral elements of denominator p and fixes exactly the
     p-maximal ones, so the loop terminates at the p-saturation.
 
-    A power order starts from its tower when it has one (_tower_start) and
-    from Dedekind's order otherwise (_dedekind_start), and the rounds run
-    from there unless that is Z[theta].  The first _TOWER_CONFIRMATIONS
-    tower starts per degree up to _TOWER_CONFIRMATION_DEGREE must reach the
-    saturation from Dedekind's start.  A start that is not an order (its
-    rank, 1 in the lattice, or its table build) and a failed confirmation
-    raise ConsistencyError; a p that is not prime raises ValueError.
+    A power order's rounds start from _tower_start or _dedekind_start, with
+    the confirmations of the module docstring.  A start that is not an order
+    (its rank, 1 in the lattice, or its table build) and a failed
+    confirmation raise ConsistencyError; a p that is not prime or a degree
+    above _TABLE_BUDGET raises ValueError.
     """
     if not is_probable_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
+    n = order.degree
+    _check_table_budget(n)
     if not order.is_power_order():
         return _rounds(order, p)
-    n = order.degree
     try:
         tower = _tower_start(order, p)
         saturation = _saturation(order, tower or _dedekind_start(order, p), p)
@@ -776,17 +783,9 @@ def equation_order_index(poly: MonicPolynomial, candidate_primes) -> tuple[int, 
         d = math.lcm(*(o.denominator for o in local))
         rows = [[x * (d // o.denominator) for x in row] for o in local for row in o.basis_numerators]
         order = EquationOrder.from_basis(poly, rows, d)
-    return _power_index(order), order
-
-
-def _power_index(order: EquationOrder) -> int:
-    """[order : Z[x]/(f)] for an order that contains the power order: the
-    basis is lower triangular over denominator d, so it is d^n / prod of its
-    pivots."""
+    # the basis is lower triangular over d, so g is d^n / prod of its pivots
     pivots = math.prod(row[i] for i, row in enumerate(order.basis_numerators))
     g, rest = divmod(order.denominator**order.degree, pivots)
     if rest:
-        raise ConsistencyError(
-            f"pivot product {pivots} does not divide d^n for Z[x]/({order.poly})"
-        )
-    return g
+        raise ConsistencyError(f"pivot product {pivots} does not divide d^n for Z[x]/({poly})")
+    return g, order

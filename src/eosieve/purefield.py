@@ -10,11 +10,12 @@ pure family's one index layer: point queries multiply confirmed entries
 (_index_values), and range scans tile the signed pattern of "g(m) = g"
 (_index_pattern).  Two guards raise ConsistencyError: every entry must agree
 with the congruence criterion, and _saturated_index compares an entry with
-orders.p_saturate at p, once per residue class and process and at the
-seeded radicands of every exceptional scan.  pure_maximal_order returns the
-maximal order itself, from orders.equation_order_index, and its index must
-equal the product of the table entries.  The saturations and their
-cross-checks live in orders; this module holds closed forms and guards.
+the index at p from orders.equation_order_index, once per residue class and
+process and at the seeded radicands of every exceptional scan.
+pure_maximal_order returns the maximal order itself, from
+orders.equation_order_index, and its index must equal the product of the
+table entries.  The saturations, their indices and their cross-checks live
+in orders; this module holds closed forms and guards.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .arith import integer_nth_root, is_squarefree, prime_divisors, vp
 from .errors import ConsistencyError
-from .orders import EquationOrder, MonicPolynomial, _power_index, equation_order_index, p_saturate
+from .orders import EquationOrder, MonicPolynomial, equation_order_index
 
 __all__ = [
     "PureFieldInvariants",
@@ -246,12 +247,11 @@ def _index_pattern(n: int, g: int, x_max: int) -> np.ndarray:
 
 def _saturated_index(n: int, p: int, m: int) -> int:
     """g_p(m) for squarefree m, the index of Z[alpha] in its p-saturation
-    (orders.p_saturate, from the tower when p^2 | n and p does not divide
-    m); ConsistencyError when it differs from the entry of
-    _local_index_table(n, p)."""
+    (orders.equation_order_index at p alone); ConsistencyError when it
+    differs from the entry of _local_index_table(n, p)."""
     table = _local_index_table(n, p)
     r = m % len(table)
-    g = _power_index(p_saturate(EquationOrder.power_order(pure_poly(n, m)), p))
+    g, _ = equation_order_index(pure_poly(n, m), [p])
     if g != table[r]:
         raise ConsistencyError(
             f"closed-form local index {table[r]} at p={p} for n={n}, "

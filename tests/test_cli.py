@@ -158,13 +158,13 @@ def test_invariants_saturates_once_per_class(capsys, monkeypatch):
     purefield._class_index.cache_clear()
     monkeypatch.setattr(orders, "_confirmed", Counter())
     saturated = []
-    p_saturate = purefield.p_saturate
+    p_saturate = orders.p_saturate
 
     def counting(order, p):
         saturated.append((order.poly, p))
         return p_saturate(order, p)
 
-    monkeypatch.setattr(purefield, "p_saturate", counting)
+    monkeypatch.setattr(orders, "p_saturate", counting)
     rc, out = _run(capsys, ["invariants", "4", "13"])
     assert rc == 0 and out == plain
     # 13 = 5 mod 8, and the least squarefree member of that class is -3
@@ -231,6 +231,13 @@ def test_pset_csv_matches_example(capsys):
     rc, out = _run(capsys, ["pset", "4", "6", "--limit", "40"])
     assert rc == 0
     assert out == "13\n37\n"
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_pset_below_the_first_candidate_is_empty(capsys, limit):
+    rc = main(["pset", "4", "6", "--limit", limit])
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (0, "", "")
 
 
 def test_pset_csv_is_the_same_on_stdout_and_in_the_out_file(capsys, tmp_path):
@@ -630,6 +637,35 @@ def test_import_leaves_openblas_one_thread_unless_told_otherwise(preset):
         assert (threads, setting) == ("1", "1")
     else:
         assert setting == preset
+
+
+# Each must be refused before any table is built: under the limit, a
+# (420, 420, 420) int64 table alone (565 MiB) fails with a MemoryError.
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
+@pytest.mark.parametrize(
+    "argv",
+    ["invariants 420 11", "invariants 1000 3", "experiment exceptional --n 420 --x-max 1000"],
+)
+def test_high_degree_is_refused_within_a_memory_limit(argv):
+    import resource
+
+    def limit_address_space():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))  # 1.5 GiB
+
+    env = {k: v for k, v in os.environ.items() if not k.startswith("EOS_")}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "eosieve.cli", *argv.split()],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert re.fullmatch(r"error: degree \d+ needs tables above the 128 MiB budget\n", proc.stderr)
 
 
 def test_console_entry_point():

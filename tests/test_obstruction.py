@@ -89,6 +89,7 @@ def test_in_Pg_brute_force_agreement():
 
 def test_enumerate_Pg_examples():
     assert enumerate_Pg(4, 6, 40) == [13, 37]
+    assert enumerate_Pg(4, 6, 0) == enumerate_Pg(4, 6, -5) == []
     assert enumerate_Pg(64, 6, 10**5) == []
     pg = enumerate_Pg(4, 6, 3000)
     assert all(in_Pg(q, 4, 6) for q in pg)
@@ -160,8 +161,9 @@ def test_pg_candidates_sample_guard_reaches_every_block(monkeypatch):
 @pytest.mark.parametrize("N", [2, 3, 6, 28, 66])
 def test_pg_capacity_bounds_the_candidates(N):
     primes = prime_sieve(10**5)
-    # limits at and just past 2N + 1, where log(limit / 2N) is near 0
-    for limit in (2 * N, 2 * N + 1, 2 * N + 2, 4 * N + 2, 1000, 10**5):
+    # limits at and just past 2N + 1, where log(limit / 2N) is near 0, and
+    # below 1, where the progression has no terms
+    for limit in (-5, 0, 2 * N, 2 * N + 1, 2 * N + 2, 4 * N + 2, 1000, 10**5):
         candidates = sum(1 for q in primes if q <= limit and q % (2 * N) == 1)
         assert candidates <= _pg_capacity(N, limit) <= max(0, (limit - 1) // (2 * N))
 
