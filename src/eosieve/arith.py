@@ -9,7 +9,7 @@ from it is built once, so both are safe to share across threads and
 processes.
 
 Primes come from one segmented sieve (Bays and Hudson, BIT 1977):
-_progression_mask marks the primes of a progression a mod M inside a
+_progression_mask marks the primes of a progression 1 mod M inside a
 window of its terms, striking with base primes up to the square root of the
 window's top taken from the prime table, one cache-sized block of the window
 at a time, and _progression_primes lists them.  The table grows in doubling
@@ -93,13 +93,13 @@ def _tiled_windows(pattern: np.ndarray, start: int, stop: int):
         yield lo, hi, ext[..., lo % period : lo % period + hi - lo]
 
 
-def _progression_mask(a: int, M: int, k0: int, k1: int) -> np.ndarray:
-    """mask[k - k0] says a + M*k is prime, for k0 <= k < k1.
+def _progression_mask(M: int, k0: int, k1: int) -> np.ndarray:
+    """mask[k - k0] says 1 + M*k is prime, for k0 <= k < k1 and M >= 2.
 
-    Requires 0 <= a < M and gcd(a, M) = 1.  Each base prime p <= sqrt(top)
-    not dividing M strikes the terms divisible by p from p^2 on, so a base
-    prime that lies in the progression is kept; base primes dividing M
-    divide no term and strike nothing.  The term 1 is not prime.
+    Each base prime p <= sqrt(top) not dividing M strikes the terms
+    divisible by p from p^2 on, so a base prime that lies in the progression
+    is kept; base primes dividing M divide no term and strike nothing.  The
+    term 1 is not prime.
 
     The window is struck in blocks of _SIEVE_BLOCK terms.  Before each
     block, one numpy step rebases every prime's first strike in the window
@@ -109,13 +109,12 @@ def _progression_mask(a: int, M: int, k0: int, k1: int) -> np.ndarray:
     if k1 <= k0:
         return np.zeros(0, dtype=bool)
     is_prime = np.ones(k1 - k0, dtype=bool)
-    if k0 == 0 and a < 2:
-        is_prime[0] = False
-    ps = prime_array(math.isqrt(a + M * (k1 - 1)))
+    is_prime[0] = k0 > 0  # the term 1 is not prime
+    ps = prime_array(math.isqrt(1 + M * (k1 - 1)))
     ps = ps[M % ps != 0]
-    # a + M*k = 0 mod p  <=>  k = -a / M mod p; start at p^2 or at k0
-    roots = (-a % ps) * pow_mod(M % ps, ps - 2, ps).astype(np.int64) % ps
-    first = np.maximum(k0, -((a - ps * ps) // M))
+    # 1 + M*k = 0 mod p  <=>  k = -1 / M mod p; start at p^2 or at k0
+    roots = (ps - 1) * pow_mod(M % ps, ps - 2, ps).astype(np.int64) % ps
+    first = np.maximum(k0, -((1 - ps * ps) // M))
     first += (roots - first) % ps
     first -= k0
     steps = ps.tolist()
@@ -128,13 +127,13 @@ def _progression_mask(a: int, M: int, k0: int, k1: int) -> np.ndarray:
     return is_prime
 
 
-def _progression_primes(a: int, M: int, lo: int, hi: int):
-    """The primes q = a mod M with lo <= q < hi, ascending, one int64 array
+def _progression_primes(M: int, lo: int, hi: int):
+    """The primes q = 1 mod M with lo <= q < hi, ascending, one int64 array
     per window of at most _WINDOW terms of the progression."""
-    k0 = max(0, -((a - lo) // M))
-    k1 = max(k0, -((a - hi) // M))
+    k0 = max(0, -((1 - lo) // M))
+    k1 = max(k0, -((1 - hi) // M))
     for w0, w1 in _windows(k0, k1):
-        yield a + M * (w0 + np.flatnonzero(_progression_mask(a, M, w0, w1)))
+        yield 1 + M * (w0 + np.flatnonzero(_progression_mask(M, w0, w1)))
 
 
 def _ensure_primes(limit: int) -> None:
@@ -151,7 +150,7 @@ def _ensure_primes(limit: int) -> None:
     limit = max(limit, 2 * _prime_cache_limit)
     lo = _prime_cache_limit + 1
     two = [np.array([2], dtype=np.int64)] if lo <= 2 else []
-    primes = np.concatenate([_prime_cache, *two, *_progression_primes(1, 2, lo, limit + 1)])
+    primes = np.concatenate([_prime_cache, *two, *_progression_primes(2, lo, limit + 1)])
     primes.setflags(write=False)
     _prime_cache = primes
     _prime_cache_limit = limit

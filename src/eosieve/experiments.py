@@ -365,12 +365,14 @@ def alpha_density(n: int, x_max: int, checkpoints) -> AlphaDensityReport:
 
 
 def pfree_counts_for_primes(primes, x_max: int, checkpoints, label: str) -> Checkpoints:
-    """Counts of 1 <= m <= X untouched by the given primes, by multiple-marking."""
+    """Counts of 1 <= m <= X untouched by the given moduli (each >= 2), by marking."""
     xs = _validate_checkpoints(checkpoints, x_max)
     if not isinstance(primes, np.ndarray):
         primes = np.array(list(primes), dtype=np.int64)
     if np.any(primes[1:] < primes[:-1]):  # an ascending P_g table needs no sorted copy
         primes = np.sort(primes)
+    if len(primes) and primes[0] < 2:
+        raise ValueError(f"moduli must be at least 2, got {primes[0]}")
     counts = np.zeros(len(xs), dtype=np.int64)
     for lo, hi in _windows(0, xs[-1] + 1):
         counts += _window_counts(_pfree_window(primes, lo, hi), lo, xs)

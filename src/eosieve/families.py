@@ -342,7 +342,7 @@ def thin_member_density(n: int, c: int, limit: int) -> tuple[int, int, float]:
     members = int(cn % 2 == 1 and pattern[2 % period])
     k1 = (limit + 1) // 2  # the odd q = 1 + 2k <= limit have 1 <= k < k1
     for k0, hi, tile in _tiled_windows(pattern[(1 + 2 * np.arange(period)) % period], 1, k1):
-        mask = _progression_mask(1, 2, k0, hi)
+        mask = _progression_mask(2, k0, hi)
         primes += int(np.count_nonzero(mask))
         mask &= tile
         members += int(np.count_nonzero(mask))

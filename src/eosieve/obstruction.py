@@ -258,7 +258,7 @@ def _pg_table(g: int, N: int, limit: int) -> tuple[int, np.ndarray]:
     rng = random.Random(f"{g}:{N}:{limit}")
     members = np.empty(_pg_capacity(N, limit), dtype=np.uint32)
     count = filled = 0
-    for qs in _progression_primes(1, 2 * N, 2 * N + 1, limit + 1):
+    for qs in _progression_primes(2 * N, 2 * N + 1, limit + 1):
         window_count, filled = _pg_window(g, N, qs, rng, members, filled)
         count += window_count
         del qs  # not held while the next window is sieved
@@ -326,8 +326,8 @@ def obstruction_certificate(n: int, m: int) -> ObstructionCertificate | None:
     return None
 
 
-# Trials per batched block of local_coset_check: bounds its arrays at
-# _COSET_BLOCK * n^2 uint64 entries each, whatever the trial count.
+# Trials per batched block of local_coset_check up to n = 128, fewer above:
+# its arrays hold at most _COSET_BLOCK * 128^2 uint64 entries each (64 MiB).
 _COSET_BLOCK = 512
 # Trials per call recomputed on the scalar path as a cross-check.
 _COSET_SPOT_CHECKS = 8
@@ -434,14 +434,14 @@ def local_coset_check(
     control.  Randomness comes from random.Random(seed), the stdlib Mersenne
     Twister, so runs are reproducible bit for bit.
 
-    For q < 2^32 the trials run in blocks of _COSET_BLOCK through one numpy
-    pass each (_power_matrices, _gf_dets), and _COSET_SPOT_CHECKS seeded
-    trials are recomputed on the scalar path: the exact index form
-    orders.index_form_value on the power order, reduced mod q, which shares
-    no code with the batched path.  Larger q take the scalar path for every
-    trial.  On both paths every determinant must equal b_1^N mod q (the
-    power matrix is triangular in the x-adic filtration of F_q[x]/(x^n));
-    either guard raises ConsistencyError.
+    For q < 2^32 the trials run in blocks of _COSET_BLOCK (fewer above n =
+    128) through one numpy pass each (_power_matrices, _gf_dets), and
+    _COSET_SPOT_CHECKS seeded trials are recomputed on the scalar path: the
+    exact index form orders.index_form_value on the power order, reduced mod
+    q, which shares no code with the batched path.  Larger q take the scalar
+    path for every trial.  On both paths every determinant must equal b_1^N
+    mod q (the power matrix is triangular in the x-adic filtration of
+    F_q[x]/(x^n)); either guard raises ConsistencyError.
     Under it a determinant misses the class of 1 exactly when b_1 = 0 mod q,
     so those trials are the failures.
     """
@@ -464,8 +464,9 @@ def local_coset_check(
     checks = min(_COSET_SPOT_CHECKS, trials) if q < 1 << 32 else 0
     spot = set(random.Random(f"{n}:{m}:{q}:{trials}:{seed}").sample(range(trials), checks))
     failures = 0
-    for start in range(0, trials, _COSET_BLOCK):
-        bs = _coset_draws(rng, n, q, min(_COSET_BLOCK, trials - start), uniformizer_only)
+    size = min(_COSET_BLOCK, max(1, _COSET_BLOCK * 128**2 // n**2))
+    for start in range(0, trials, size):
+        bs = _coset_draws(rng, n, q, min(size, trials - start), uniformizer_only)
         if q >= 1 << 32:
             dets = [index_form_value(order, b) % q for b in bs]
             bad = [i for i, b in enumerate(bs) if dets[i] != pow(b[1], N, q)]

@@ -31,8 +31,9 @@ Dedekind starts (_DEDEKIND_CONFIRMATIONS per degree and verdict) must equal
 a full round, and the first tower saturations (_TOWER_CONFIRMATIONS per
 degree up to 32) the saturation from Dedekind's start, in each process.
 equation_order_index sums p-saturations and is the one reader of an index
-from them.  A degree whose (n, n, n) tables would exceed _TABLE_BUDGET is
-refused with ValueError before any is built.
+from them.  MonicPolynomial refuses with ValueError a degree whose (n, n, n)
+tables would exceed _TABLE_BUDGET, so every order, resultant and index form
+of such a degree is refused before any work that grows with n.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ __all__ = [
 ]
 
 
+# The largest (n, n, n) array, at 8 bytes an entry (int64 or dtype object's
+# pointer), so n <= 256; a round holds several (533 MB at n = 210)
+_TABLE_BUDGET = 1 << 27
+
+
 @dataclass(frozen=True)
 class MonicPolynomial:
     """x^n + c_{n-1} x^{n-1} + ... + c_0, stored by its low coefficients."""
@@ -69,8 +75,11 @@ class MonicPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) < 2:
+        n = len(self.coeffs)
+        if n < 2:
             raise ValueError("degree must be at least 2")
+        if 8 * n**3 > _TABLE_BUDGET:
+            raise ValueError(f"degree {n} needs tables above the {_TABLE_BUDGET >> 20} MiB budget")
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
 
     @property
@@ -285,10 +294,7 @@ class EquationOrder:
         int_rows = [list(map(int, r)) for r in rows]
         if any(len(r) != n for r in int_rows):
             raise ValueError("rows must have length equal to the degree")
-        g = denominator
-        for r in int_rows:
-            for x in r:
-                g = math.gcd(g, x)
+        g = math.gcd(denominator, *itertools.chain(*int_rows))
         if g > 1:
             denominator //= g
             int_rows = [[x // g for x in r] for r in int_rows]
@@ -331,16 +337,6 @@ class EquationOrder:
         return tuple(Fraction(c, scale) for c in coords)
 
 
-# The largest (n, n, n) array, at 8 bytes an entry (int64 or dtype object's
-# pointer), so n <= 256; a round holds several (533 MB at n = 210)
-_TABLE_BUDGET = 1 << 27
-
-
-def _check_table_budget(n: int) -> None:
-    if 8 * n**3 > _TABLE_BUDGET:
-        raise ValueError(f"degree {n} needs tables above the {_TABLE_BUDGET >> 20} MiB budget")
-
-
 # 16 tables hit as often as 256 on the benchmark, and hold 32 MiB at n = 64
 @lru_cache(maxsize=16)
 def _multiplication_table_cached(order: EquationOrder) -> np.ndarray:
@@ -350,11 +346,10 @@ def _multiplication_table_cached(order: EquationOrder) -> np.ndarray:
     over d, d^2 e_i e_j is (B @ (B @ P))[i, j] in power coordinates, whose
     every entry and partial sum is at most n^2 max|B|^2 max|P|: int64 while
     that is below 2^62, Python integers (dtype object) otherwise.  The
-    coordinates are solved by _back_substitute, under its overflow rule.  A
-    degree above _TABLE_BUDGET raises ValueError.
+    coordinates are solved by _back_substitute, under its overflow rule.  The
+    degree is at most 256, by MonicPolynomial's budget.
     """
     n = order.degree
-    _check_table_budget(n)
     if order.is_power_order():
         powers = [[1] + [0] * (n - 1)]
         for _ in range(2 * n - 2):
@@ -744,13 +739,12 @@ def p_saturate(order: EquationOrder, p: int) -> EquationOrder:
     A power order's rounds start from _tower_start or _dedekind_start, with
     the confirmations of the module docstring.  A start that is not an order
     (its rank, 1 in the lattice, or its table build) and a failed
-    confirmation raise ConsistencyError; a p that is not prime or a degree
-    above _TABLE_BUDGET raises ValueError.
+    confirmation raise ConsistencyError; a p that is not prime raises
+    ValueError (MonicPolynomial has refused a degree above _TABLE_BUDGET).
     """
     if not is_probable_prime(p):
         raise ValueError(f"p must be a prime, got {p}")
     n = order.degree
-    _check_table_budget(n)
     if not order.is_power_order():
         return _rounds(order, p)
     try:

@@ -639,12 +639,29 @@ def test_import_leaves_openblas_one_thread_unless_told_otherwise(preset):
         assert setting == preset
 
 
+# commands whose n-sized work (coset blocks, the Sylvester resultant) came
+# before any table; each now refuses as soon as its polynomial is built
+_REFUSED_BEFORE_WORK = [
+    "coset 420 11 11 --trials 10 --seed 0",
+    "family trinomial --n 300 --t-min 5 --t-max 7",
+    pytest.param(
+        "family scaled --n 300 --coeffs " + ",".join(["1"] + ["0"] * 299) + " --t-min 2 --t-max 3",
+        id="family scaled --n 300 --coeffs 1,0,...,0 --t-min 2 --t-max 3",
+    ),
+]
+
+
 # Each must be refused before any table is built: under the limit, a
 # (420, 420, 420) int64 table alone (565 MiB) fails with a MemoryError.
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is Linux's")
 @pytest.mark.parametrize(
     "argv",
-    ["invariants 420 11", "invariants 1000 3", "experiment exceptional --n 420 --x-max 1000"],
+    [
+        "invariants 420 11",
+        "invariants 1000 3",
+        "experiment exceptional --n 420 --x-max 1000",
+        *_REFUSED_BEFORE_WORK,
+    ],
 )
 def test_high_degree_is_refused_within_a_memory_limit(argv):
     import resource
@@ -666,6 +683,35 @@ def test_high_degree_is_refused_within_a_memory_limit(argv):
     assert proc.returncode == 2 and proc.stdout == "", proc.stderr
     assert "Traceback" not in proc.stderr
     assert re.fullmatch(r"error: degree \d+ needs tables above the 128 MiB budget\n", proc.stderr)
+
+
+@pytest.mark.parametrize("argv", _REFUSED_BEFORE_WORK)
+def test_high_degree_is_refused_before_any_n_sized_work(capsys, monkeypatch, argv):
+    from eosieve import families, obstruction
+
+    def n_sized_work(*args):
+        raise AssertionError("n-sized work ran before the refusal")
+
+    monkeypatch.setattr(obstruction, "_power_matrices", n_sized_work)
+    monkeypatch.setattr(families, "poly_disc_resultant", n_sized_work)
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: degree \d+ needs tables above the 128 MiB budget\n", captured.err)
+
+
+def test_running_out_of_memory_is_a_typed_refusal(capsys, monkeypatch):
+    def out_of_memory(params):
+        raise MemoryError("Unable to allocate 128. MiB for an array with shape (65536, 256)")
+
+    leaf = cli.COMMANDS["invariants"]
+    monkeypatch.setitem(cli.COMMANDS, "invariants", leaf._replace(runner=out_of_memory))
+    assert main(["invariants", "4", "13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: out of memory: Unable to allocate 128. MiB for an array with shape (65536, 256)\n"
+    )
 
 
 def test_console_entry_point():

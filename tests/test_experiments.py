@@ -196,6 +196,17 @@ def test_pfree_counts_accept_primes_in_any_order():
     assert pfree_counts_for_primes([37, 61, 13], 10**5, xs, "P") == ascending
 
 
+def test_pfree_counts_refuse_moduli_below_two():
+    xs = [10, 50, 100]
+    # moduli need not be prime, and repeats count once
+    for moduli, counts in (([4, 6], (7, 34, 67)), ([2, 2, 3], (3, 17, 33))):
+        assert pfree_counts_for_primes(moduli, 100, xs, "P").counts == counts
+        assert counts == tuple(sum(all(m % d for d in moduli) for m in range(1, x + 1)) for x in xs)
+    for moduli in ([0, 2], [-3, 2], [2, 1]):
+        with pytest.raises(ValueError, match="^moduli must be at least 2"):
+            pfree_counts_for_primes(moduli, 100, xs, "P")
+
+
 def test_logpower_fit_recovers_synthetic_exponent():
     xs = (10**7, 10**8, 10**9, 10**10)
     counts = tuple(round(x / math.log(x) ** (1 / 6)) for x in xs)

@@ -505,6 +505,31 @@ def test_local_coset_scalar_spot_check_catches_a_disagreement(monkeypatch):
         local_coset_check(4, 13, 13, trials=50, seed=0)
 
 
+@pytest.mark.parametrize("uniformizer_only", [True, False])
+def test_local_coset_report_does_not_depend_on_the_block_size(monkeypatch, uniformizer_only):
+    import eosieve.obstruction as obstruction
+
+    report = local_coset_check(6, -35, 7, 1300, seed=5, uniformizer_only=uniformizer_only)
+    monkeypatch.setattr(obstruction, "_COSET_BLOCK", 100)
+    assert local_coset_check(6, -35, 7, 1300, seed=5, uniformizer_only=uniformizer_only) == report
+
+
+def test_local_coset_blocks_shrink_with_the_square_of_the_degree(monkeypatch):
+    import eosieve.obstruction as obstruction
+
+    shapes = []
+
+    def first_block_only(bs, q):
+        shapes.append(bs.shape)
+        raise RuntimeError("first block seen")
+
+    monkeypatch.setattr(obstruction, "_power_matrices", first_block_only)
+    with pytest.raises(RuntimeError, match="first block seen"):
+        local_coset_check(129, 5, 5, trials=1000, seed=0)
+    # 512 * 128^2 // 129^2: at most 512 * 128^2 entries per (trials, n, n) array
+    assert shapes == [(504, 129)]
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 65537, 2**31 - 1, 2**61 - 1])
 @pytest.mark.parametrize("uniformizer_only", [True, False])
 def test_coset_draws_reproduce_randrange(q, uniformizer_only):

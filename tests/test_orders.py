@@ -1013,15 +1013,9 @@ def test_gf_kernel_is_the_free_column_basis(ncols, p, dtype):
 
 
 def test_tables_above_the_budget_are_refused_before_any_is_built():
-    orders._check_table_budget(256)  # 128 MiB of int64 entries, the largest accepted
-    power = EquationOrder.power_order(pure_poly(257, 3))
-    builds = [
-        lambda: p_saturate(power, 257),  # a ValueError, not the saturation's ConsistencyError
-        lambda: equation_order_index(power.poly, [257]),
-        lambda: index_form_value(power, [0, 1] + [0] * 255),
-        lambda: order_disc(power),
-        lambda: multiplication_table(power),
-    ]
-    for build in builds:
+    builds = orders._multiplication_table_cached.cache_info().misses
+    assert pure_poly(256, 3).degree == 256  # 128 MiB of int64 entries, the largest accepted
+    for make in (lambda: pure_poly(257, 3), lambda: MonicPolynomial((1,) * 257)):
         with pytest.raises(ValueError, match="^degree 257 needs tables above the 128 MiB budget$"):
-            build()
+            make()
+    assert orders._multiplication_table_cached.cache_info().misses == builds

@@ -102,20 +102,20 @@ def test_progression_sieve_matches_the_prime_table(M, window, monkeypatch):
     monkeypatch.setattr(arith, "_WINDOW", window)
     # the whole range, a range starting just past 1 + M, and a one-value range
     for lo, hi in ((0, x + 1), (M + 2, x // 3), (M + 1, M + 2)):
-        got = np.concatenate([np.empty(0, dtype=np.int64), *_progression_primes(1, M, lo, hi)])
+        got = np.concatenate([np.empty(0, dtype=np.int64), *_progression_primes(M, lo, hi)])
         want = primes[(primes % M == 1) & (primes >= lo) & (primes < hi)]
         assert got.tolist() == want.tolist(), (M, lo, hi)
 
 
-def _first_strike_on_a_block_edge(a, M, block):
+def _first_strike_on_a_block_edge(M, block):
     """(lo, hi): a range whose first window has, at term index `block`, the
     first multiple of a base prime p > block, the first prime that divides
     no M; every strike of p before it lies before the window."""
     p = next(q for q in prime_array(10 * block).tolist() if q > block and M % q)
-    k = -a * pow(M, -1, p) % p  # a + M*k = 0 mod p  <=>  k = this mod p
-    while k < block or a + M * k < p * p:
+    k = -pow(M, -1, p) % p  # 1 + M*k = 0 mod p  <=>  k = this mod p
+    while k < block or 1 + M * k < p * p:
         k += p
-    lo = a + M * (k - block)
+    lo = 1 + M * (k - block)
     return lo, lo + M * 4 * block
 
 
@@ -124,7 +124,7 @@ def _first_strike_on_a_block_edge(a, M, block):
 def test_blocked_strike_matches_the_prime_table(M, block, monkeypatch):
     x = 10**5
     monkeypatch.setattr(arith, "_SIEVE_BLOCK", block)
-    edge = _first_strike_on_a_block_edge(1, M, block)
+    edge = _first_strike_on_a_block_edge(M, block)
     primes = prime_array(max(x, edge[1]))
     # the whole range in one window of many blocks, and in windows of a few
     # blocks that do not end on a block edge; a range from lo > 0; a prime
@@ -136,6 +136,6 @@ def test_blocked_strike_matches_the_prime_table(M, block, monkeypatch):
         (1 << 22, edge),
     ):
         monkeypatch.setattr(arith, "_WINDOW", window)
-        got = np.concatenate([np.empty(0, dtype=np.int64), *_progression_primes(1, M, lo, hi)])
+        got = np.concatenate([np.empty(0, dtype=np.int64), *_progression_primes(M, lo, hi)])
         want = primes[(primes % M == 1) & (primes >= lo) & (primes < hi)]
         assert got.tolist() == want.tolist(), (M, block, window, lo, hi)
